@@ -91,20 +91,19 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp: larger = more recently used.
-    used: u64,
-}
-
 /// The cache proper.
+///
+/// Way state is stored struct-of-arrays, way `w` of set `s` at index
+/// `s * ways + w`, so a probe compares one contiguous run of `u64` keys.
+/// A key is `tag + 1`, and 0 marks an invalid way: line addresses are byte
+/// addresses over the line size, so a tag never reaches `u64::MAX`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Way>,
+    keys: Vec<u64>,
+    /// LRU timestamp per way: larger = more recently used.
+    used: Vec<u64>,
+    dirty: Vec<bool>,
     set_count: u64,
     /// `set_count - 1`; the set count is asserted to be a power of two, so
     /// set selection is a mask and tag extraction a shift. `index` runs on
@@ -127,8 +126,11 @@ impl SetAssocCache {
         );
         let ways = cfg.ways as usize;
         assert!(ways > 0);
+        let slots = (set_count as usize) * ways;
         SetAssocCache {
-            sets: vec![Way::default(); (set_count as usize) * ways],
+            keys: vec![0; slots],
+            used: vec![0; slots],
+            dirty: vec![false; slots],
             set_count,
             set_mask: set_count - 1,
             set_shift: set_count.trailing_zeros(),
@@ -149,11 +151,28 @@ impl SetAssocCache {
         &self.stats
     }
 
+    /// First way of `line`'s set and the key `line` is stored under.
     #[inline]
     fn index(&self, line: LineAddr) -> (usize, u64) {
         let set = narrow_usize(line.0 & self.set_mask);
-        let tag = line.0 >> self.set_shift;
-        (set * self.ways, tag)
+        let key = (line.0 >> self.set_shift) + 1;
+        (set * self.ways, key)
+    }
+
+    /// Slot holding `key` in the set starting at `base`, if resident.
+    #[inline]
+    fn probe(&self, base: usize, key: u64) -> Option<usize> {
+        self.keys[base..base + self.ways]
+            .iter()
+            .position(|&k| k == key)
+            .map(|w| base + w)
+    }
+
+    /// Address of the line resident in `slot` (valid key required).
+    #[inline]
+    fn line_at(&self, slot: usize) -> LineAddr {
+        let set = (slot / self.ways) as u64;
+        LineAddr((self.keys[slot] - 1) * self.set_count + set)
     }
 
     /// Demand access. Returns `true` on hit; on a hit, LRU is updated and
@@ -163,14 +182,12 @@ impl SetAssocCache {
     pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let (base, tag) = self.index(line);
-        for w in &mut self.sets[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.used = self.clock;
-                w.dirty |= write;
-                self.stats.hits += 1;
-                return true;
-            }
+        let (base, key) = self.index(line);
+        if let Some(slot) = self.probe(base, key) {
+            self.used[slot] = self.clock;
+            self.dirty[slot] |= write;
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         false
@@ -178,10 +195,8 @@ impl SetAssocCache {
 
     /// Probe without updating LRU or statistics.
     pub fn contains(&self, line: LineAddr) -> bool {
-        let (base, tag) = self.index(line);
-        self.sets[base..base + self.ways]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (base, key) = self.index(line);
+        self.probe(base, key).is_some()
     }
 
     /// Install `line` (after a miss). `dirty` marks a write-allocate fill.
@@ -191,49 +206,41 @@ impl SetAssocCache {
     /// happens when an MSHR merged multiple requests to the line).
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Victim> {
         self.clock += 1;
-        let (base, tag) = self.index(line);
-        // Already present: refresh.
-        let clock = self.clock;
-        for w in &mut self.sets[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.used = clock;
-                w.dirty |= dirty;
-                return None;
-            }
+        let (base, key) = self.index(line);
+        if let Some(slot) = self.probe(base, key) {
+            self.used[slot] = self.clock;
+            self.dirty[slot] |= dirty;
+            return None;
         }
-        // Choose an invalid way, else the LRU way.
-        let set = &mut self.sets[base..base + self.ways];
-        let mut victim_i = 0;
-        let mut best_used = u64::MAX;
-        for (i, w) in set.iter().enumerate() {
-            if !w.valid {
-                victim_i = i;
-                break;
+        // The first invalid way, else the first least recently used one.
+        let slot = match self.probe(base, 0) {
+            Some(slot) => slot,
+            None => {
+                let used = &self.used[base..base + self.ways];
+                let mut lru = 0;
+                for (w, &u) in used.iter().enumerate() {
+                    if u < used[lru] {
+                        lru = w;
+                    }
+                }
+                base + lru
             }
-            if w.used < best_used {
-                best_used = w.used;
-                victim_i = i;
-            }
-        }
-        let w = &mut set[victim_i];
-        let victim = if w.valid {
+        };
+        let victim = if self.keys[slot] != 0 {
             self.stats.evictions += 1;
-            if w.dirty {
+            if self.dirty[slot] {
                 self.stats.writebacks += 1;
             }
             Some(Victim {
-                line: LineAddr(w.tag * self.set_count + (line.0 % self.set_count)),
-                dirty: w.dirty,
+                line: self.line_at(slot),
+                dirty: self.dirty[slot],
             })
         } else {
             None
         };
-        *w = Way {
-            tag,
-            valid: true,
-            dirty,
-            used: self.clock,
-        };
+        self.keys[slot] = key;
+        self.used[slot] = self.clock;
+        self.dirty[slot] = dirty;
         victim
     }
 
@@ -242,48 +249,35 @@ impl SetAssocCache {
     /// not count as a demand access. Returns a victim if installing evicted
     /// a valid line.
     pub fn writeback(&mut self, line: LineAddr) -> Option<Victim> {
-        let (base, tag) = self.index(line);
+        let (base, key) = self.index(line);
         self.clock += 1;
-        let clock = self.clock;
-        for w in &mut self.sets[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.dirty = true;
-                w.used = clock;
-                return None;
-            }
+        if let Some(slot) = self.probe(base, key) {
+            self.dirty[slot] = true;
+            self.used[slot] = self.clock;
+            return None;
         }
         self.fill(line, true)
     }
 
     /// Remove `line` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let (base, tag) = self.index(line);
-        for w in &mut self.sets[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.valid = false;
-                return Some(w.dirty);
-            }
-        }
-        None
+        let (base, key) = self.index(line);
+        let slot = self.probe(base, key)?;
+        self.keys[slot] = 0;
+        Some(self.dirty[slot])
     }
 
     /// Number of valid lines currently resident (test/debug helper).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().filter(|w| w.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     /// Addresses of all currently resident lines (test/inspection helper).
     pub fn resident_addrs(&self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        for set in 0..self.set_count {
-            let base = (set as usize) * self.ways;
-            for w in &self.sets[base..base + self.ways] {
-                if w.valid {
-                    out.push(LineAddr(w.tag * self.set_count + set));
-                }
-            }
-        }
-        out
+        (0..self.keys.len())
+            .filter(|&slot| self.keys[slot] != 0)
+            .map(|slot| self.line_at(slot))
+            .collect()
     }
 
     /// Invalidate every line for which `pred` holds (e.g. all lines of a
@@ -292,18 +286,15 @@ impl SetAssocCache {
     /// scan is fine at migration-epoch frequency.
     pub fn invalidate_matching<F: Fn(LineAddr) -> bool>(&mut self, pred: F) -> Vec<Victim> {
         let mut dirty = Vec::new();
-        for set in 0..self.set_count {
-            let base = (set as usize) * self.ways;
-            for w in &mut self.sets[base..base + self.ways] {
-                if !w.valid {
-                    continue;
-                }
-                let line = LineAddr(w.tag * self.set_count + set);
-                if pred(line) {
-                    w.valid = false;
-                    if w.dirty {
-                        dirty.push(Victim { line, dirty: true });
-                    }
+        for slot in 0..self.keys.len() {
+            if self.keys[slot] == 0 {
+                continue;
+            }
+            let line = self.line_at(slot);
+            if pred(line) {
+                self.keys[slot] = 0;
+                if self.dirty[slot] {
+                    dirty.push(Victim { line, dirty: true });
                 }
             }
         }

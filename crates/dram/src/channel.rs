@@ -207,6 +207,16 @@ pub struct Channel {
     /// wheel entry is refreshed with a single integer compare instead of a
     /// `next_event_after` recomputation.
     state_version: u64,
+    /// Bumped by every change to what FR-FCFS selection reads: `enqueue`,
+    /// `issue` (dequeue plus bank state) and a refresh start (closes rows,
+    /// delays activates). Nothing else touches the queues or banks.
+    sched_epoch: u64,
+    /// Per queue (`[writes, reads]`): `(sched_epoch, cycle)` recorded when
+    /// a selection scan found nothing. Until the epoch moves, no entry can
+    /// become a row hit and the earliest candidate is the smallest
+    /// `act_possible_at` over the queue, so `select` returns `None`
+    /// without scanning before that cycle.
+    blocked_until: [(u64, Cycle); 2],
 }
 
 impl Channel {
@@ -236,6 +246,8 @@ impl Channel {
             stats: ChannelStats::default(),
             bank_activates,
             state_version: 0,
+            sched_epoch: 0,
+            blocked_until: [(u64::MAX, 0); 2],
         }
     }
 
@@ -290,6 +302,7 @@ impl Channel {
     pub fn enqueue(&mut self, now: Cycle, req: MemRequest) {
         assert!(self.can_accept(req.kind), "channel queue overflow");
         self.state_version += 1;
+        self.sched_epoch += 1;
         let d = decode_local(&self.cfg.timing, req.local_off);
         let q = Queued {
             req,
@@ -437,6 +450,7 @@ impl Channel {
             self.refresh_until = now + self.cfg.timing.t_rfc;
             self.next_refresh_at = now + self.cfg.timing.t_refi;
             self.stats.refreshes += 1;
+            self.sched_epoch += 1;
             if let Some((t, ch)) = tel.as_mut() {
                 t.record(
                     now,
@@ -485,21 +499,45 @@ impl Channel {
     }
 
     /// FR-FCFS selection: oldest row-hit whose bank can CAS now; otherwise
-    /// oldest request whose bank can ACT now.
-    fn select(&self, now: Cycle, reads: bool) -> Option<usize> {
+    /// oldest request whose bank can ACT now. A failed scan is memoized in
+    /// `blocked_until` (see the field docs); debug builds check every
+    /// memoized answer against a fresh scan.
+    fn select(&mut self, now: Cycle, reads: bool) -> Option<usize> {
+        let (epoch, until) = self.blocked_until[usize::from(reads)];
+        if epoch == self.sched_epoch && now < until {
+            debug_assert_eq!(self.scan(now, reads), Err(until));
+            return None;
+        }
+        match self.scan(now, reads) {
+            Ok(idx) => Some(idx),
+            Err(until) => {
+                self.blocked_until[usize::from(reads)] = (self.sched_epoch, until);
+                None
+            }
+        }
+    }
+
+    /// The FR-FCFS scan behind [`Channel::select`]: the selected index, or
+    /// the earliest cycle at which some queued request's bank can ACT
+    /// (`Cycle::MAX` for an empty queue).
+    fn scan(&self, now: Cycle, reads: bool) -> Result<usize, Cycle> {
         let queue = if reads { &self.readq } else { &self.writeq };
         let row_hits = self.cfg.timing.supports_row_hits();
         let mut fallback: Option<usize> = None;
+        let mut earliest = Cycle::MAX;
         for (i, q) in queue.iter().enumerate() {
+            // moca-lint: allow(narrowing-cast): bank index is u32; u32 -> usize never truncates
             let bank = &self.banks[q.bank as usize];
             if row_hits && bank.open_row == Some(q.row) {
-                return Some(i); // first (oldest) ready row hit wins
+                return Ok(i); // first (oldest) ready row hit wins
             }
-            if fallback.is_none() && self.act_possible_at(bank) <= now {
+            let at = self.act_possible_at(bank);
+            if fallback.is_none() && at <= now {
                 fallback = Some(i);
             }
+            earliest = earliest.min(at);
         }
-        fallback
+        fallback.ok_or(earliest)
     }
 
     /// Earliest cycle at which a new activate may issue on `bank`.
@@ -520,6 +558,7 @@ impl Channel {
         is_read: bool,
         mut tel: Option<(&mut Telemetry, u32)>,
     ) {
+        self.sched_epoch += 1;
         // Disjoint-field borrow: only `banks`/`stats` are mutated below, so
         // borrowing the timing avoids copying the whole DeviceTiming (power
         // coefficients included) once per issued command.

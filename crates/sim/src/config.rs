@@ -5,6 +5,7 @@ use moca_cpu::CoreConfig;
 use moca_dram::AddressMapper;
 use moca_dram::{ChannelConfig, DeviceTiming};
 use moca_vm::frames::{regions_from_capacities, ModuleRegion};
+use moca_vm::Tlb;
 use serde::{Deserialize, Serialize};
 
 /// Nominal total capacity of every evaluated memory system (2 GB, §V-B/C).
@@ -220,8 +221,12 @@ impl SystemConfig {
                 self.capacity_scale
             ));
         }
-        if self.tlb_entries == 0 {
-            return Err("tlb_entries must be positive".to_string());
+        if !(1..=Tlb::MAX_ENTRIES).contains(&self.tlb_entries) {
+            return Err(format!(
+                "tlb_entries {} must be in 1..={}",
+                self.tlb_entries,
+                Tlb::MAX_ENTRIES
+            ));
         }
         for (ci, ch) in self
             .mem
@@ -318,6 +323,14 @@ mod tests {
         let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         s.cores = 0;
         assert!(s.validate().unwrap_err().contains("cores"));
+        for entries in [0, Tlb::MAX_ENTRIES + 1] {
+            let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
+            s.tlb_entries = entries;
+            assert!(s.validate().unwrap_err().contains("tlb_entries"));
+        }
+        let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
+        s.tlb_entries = Tlb::MAX_ENTRIES;
+        s.validate().unwrap();
     }
 
     #[test]

@@ -151,6 +151,8 @@ fn write_string(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -158,6 +160,7 @@ struct Parser<'a> {
 /// Parse JSON text into a [`Value`] tree.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -297,12 +300,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -419,6 +426,15 @@ mod tests {
         assert_eq!(parse("1e3").unwrap(), Value::F64(1000.0));
         assert_eq!(parse("-7").unwrap(), Value::I64(-7));
         assert_eq!(parse("18446744073709551615").unwrap(), Value::U64(u64::MAX));
+    }
+
+    #[test]
+    fn parses_multibyte_strings_in_a_large_document() {
+        let row = Value::Str("né \"∑\" 😀\\ end\n".into());
+        let doc = Value::Array(vec![row; 50_000]);
+        let text = to_string(&doc).unwrap();
+        assert!(text.len() > 500_000);
+        assert_eq!(parse(&text).unwrap(), doc);
     }
 
     #[test]
