@@ -7,6 +7,7 @@ use moca_common::{CoreId, Cycle, Segment, VirtAddr};
 use moca_telemetry::attribution::{AttrSnapshot, CoreAttr, Mechanism};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Microarchitectural parameters (Table I defaults).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,6 +88,10 @@ struct RobEntry {
     is_load: bool,
     llc_miss: bool,
     tag: Option<MemTag>,
+    /// Sequence number of the load whose address depends on this one. A
+    /// chain links each load only to the previous load of its chain, so
+    /// there is at most one; it is never 0, as it follows this entry.
+    waiter: Option<NonZeroU64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -95,6 +100,11 @@ struct WaitingLoad {
     va: VirtAddr,
     tag: MemTag,
     dep_seq: Option<u64>,
+    /// First cycle at which the dependence is resolved: 0 with no
+    /// dependence (or a committed producer), the producer's `ready_at` once
+    /// it is done, `Cycle::MAX` until then. The producer writes it when it
+    /// completes (see [`Core::mark_done`]).
+    dep_ready: Cycle,
 }
 
 /// One simulated core.
@@ -104,6 +114,10 @@ pub struct Core {
     cfg: CoreConfig,
     rob: VecDeque<RobEntry>,
     waiting: Vec<WaitingLoad>,
+    /// Exact minimum of `dep_ready` over `waiting` (`Cycle::MAX` when
+    /// empty): no waiting load can issue before it, so the issue scan and
+    /// `sleep_state` test one cycle instead of walking the list.
+    min_dep_ready: Cycle,
     /// Outstanding miss tickets → ROB sequence numbers. A flat vector, not
     /// an ordered map: lookups are by exact ticket and the slot order is
     /// never observable, while the population (bounded by the L2 MSHR
@@ -140,6 +154,7 @@ impl Core {
             cfg,
             rob: VecDeque::new(),
             waiting: Vec::new(),
+            min_dep_ready: Cycle::MAX,
             tickets: Vec::new(),
             ifetch_ticket: None,
             lq_used: 0,
@@ -314,14 +329,19 @@ impl Core {
     /// core can make progress at `now` (equivalent to
     /// `!blocked_on_memory(now)`); otherwise `Some(e)` where `e` is the
     /// earliest core-local cycle that could unblock it, or `Cycle::MAX`
-    /// when only a memory completion can. One pass over the waiting set
-    /// instead of the two that calling [`Core::blocked_on_memory`] and
-    /// [`Core::next_local_event`] separately would take; debug builds
-    /// cross-check against both.
+    /// when only a memory completion can. O(1): the waiting loads enter
+    /// through their cached minimum wake cycle instead of the list walks
+    /// [`Core::blocked_on_memory`] and [`Core::next_local_event`] take;
+    /// debug builds cross-check against both.
     pub fn sleep_state(&self, now: Cycle) -> Option<Cycle> {
         let state = self.sleep_state_impl(now);
         #[cfg(debug_assertions)]
         {
+            debug_assert_eq!(
+                self.min_dep_ready,
+                self.scan_min_dep_ready(),
+                "cached minimum dependence wake cycle went stale"
+            );
             debug_assert_eq!(
                 state.is_some(),
                 self.blocked_on_memory(now),
@@ -351,21 +371,10 @@ impl Core {
                 next = next.min(h.ready_at);
             }
         }
-        for w in &self.waiting {
-            match w.dep_seq {
-                None => return None, // issuable immediately
-                Some(seq) => match self.find(seq) {
-                    None => return None, // dependency already committed
-                    Some(e) if e.done => {
-                        if e.ready_at <= now {
-                            return None; // dependency resolved
-                        }
-                        next = next.min(e.ready_at);
-                    }
-                    Some(_) => {}
-                },
-            }
+        if self.min_dep_ready <= now {
+            return None; // a waiting load can issue
         }
+        next = next.min(self.min_dep_ready);
         if self.can_dispatch_something(now) {
             return None;
         }
@@ -381,9 +390,7 @@ impl Core {
     /// ROB lookup by sequence number. Sequence numbers are handed out
     /// consecutively at dispatch and entries retire in order from the
     /// front, so entry `seq` lives at offset `seq - front.seq` — an O(1)
-    /// index computation instead of a binary search. This runs once per
-    /// waiting load per tick (issue scan and `sleep_state`), which made
-    /// the search the hottest comparison loop in the core model.
+    /// index computation instead of a binary search.
     fn find(&self, seq: u64) -> Option<&RobEntry> {
         let front = self.rob.front()?.seq;
         let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
@@ -405,6 +412,8 @@ impl Core {
         self.rob.get_mut(idx).filter(|e| e.seq == seq)
     }
 
+    /// Scan-based reference for a waiting load's cached `dep_ready`
+    /// (debug cross-checks, [`Core::blocked_on_memory`]).
     fn dep_resolved(&self, dep: Option<u64>, now: Cycle) -> bool {
         match dep {
             None => true,
@@ -429,10 +438,40 @@ impl Core {
                 // need this ticket (the head load completed *at* `now`).
                 a.note_completion(ticket, seq);
             }
-            if let Some(e) = self.find_mut(seq) {
-                e.done = true;
-                e.ready_at = now;
+            self.mark_done(seq, now);
+        }
+    }
+
+    /// Minimum `dep_ready` over the waiting list (`Cycle::MAX` when empty).
+    /// Stops at the first 0 (an independent load), which a streaming core
+    /// usually keeps at the front of the list.
+    fn scan_min_dep_ready(&self) -> Cycle {
+        let mut min = Cycle::MAX;
+        for w in &self.waiting {
+            min = min.min(w.dep_ready);
+            if min == 0 {
+                break;
             }
+        }
+        min
+    }
+
+    /// Mark load `seq` done with data at `ready_at`, and hand that cycle to
+    /// the load waiting on its address, if any.
+    fn mark_done(&mut self, seq: u64, ready_at: Cycle) {
+        let Some(e) = self.find_mut(seq) else { return };
+        e.done = true;
+        e.ready_at = ready_at;
+        let Some(waiter) = e.waiter.map(NonZeroU64::get) else {
+            return;
+        };
+        // `waiting` is in dispatch (sequence) order, and a waiter cannot
+        // issue before its producer is done, so it is still in the list.
+        let i = self.waiting.partition_point(|w| w.seq < waiter);
+        debug_assert_eq!(self.waiting.get(i).map(|w| w.seq), Some(waiter));
+        if let Some(w) = self.waiting.get_mut(i).filter(|w| w.seq == waiter) {
+            w.dep_ready = ready_at;
+            self.min_dep_ready = self.min_dep_ready.min(ready_at);
         }
     }
 
@@ -575,21 +614,33 @@ impl Core {
         }
 
         // ---- Issue stage: waiting loads whose dependencies resolved ----
+        // Skipped outright while no cached dependence wake cycle has
+        // arrived: nothing in the list could issue.
         let mut issued = 0;
         let mut i = 0;
         let mut mshr_retry = false;
-        while i < self.waiting.len() && issued < self.cfg.width {
+        debug_assert!(
+            self.min_dep_ready <= now
+                || !self
+                    .waiting
+                    .iter()
+                    .any(|w| self.dep_resolved(w.dep_seq, now)),
+            "issue scan skipped with a resolved waiting load"
+        );
+        while self.min_dep_ready <= now && i < self.waiting.len() && issued < self.cfg.width {
             let w = self.waiting[i];
-            if !self.dep_resolved(w.dep_seq, now) {
+            debug_assert_eq!(
+                w.dep_ready <= now,
+                self.dep_resolved(w.dep_seq, now),
+                "cached dependence wake cycle diverged from the ROB"
+            );
+            if w.dep_ready > now {
                 i += 1;
                 continue;
             }
             match port.load(now, self.id, w.va, w.tag) {
                 MemReply::Done { ready_at } => {
-                    if let Some(e) = self.find_mut(w.seq) {
-                        e.done = true;
-                        e.ready_at = ready_at.max(now + 1);
-                    }
+                    self.mark_done(w.seq, ready_at.max(now + 1));
                     self.waiting.remove(i);
                     issued += 1;
                 }
@@ -612,6 +663,9 @@ impl Core {
                     break;
                 }
             }
+        }
+        if issued > 0 {
+            self.min_dep_ready = self.scan_min_dep_ready();
         }
 
         // ---- Cycle attribution: exactly one bucket per cycle ----
@@ -717,6 +771,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: None,
+                        waiter: None,
                     });
                     self.pc += 4;
                 }
@@ -728,6 +783,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: None,
+                        waiter: None,
                     });
                     self.pc = target.map_or(self.pc + 4, |t| t.0);
                     if mispredict {
@@ -756,19 +812,34 @@ impl Core {
                         is_load: true,
                         llc_miss: false,
                         tag: Some(tag),
+                        waiter: None,
                     });
+                    let dep_seq = if dependent {
+                        self.last_load_by_chain
+                            .iter()
+                            .find(|&&(c, _)| c == chain)
+                            .map(|&(_, s)| s)
+                    } else {
+                        None
+                    };
+                    // A producer still in flight records this load as its
+                    // waiter and sets `dep_ready` when it completes.
+                    let dep_ready = match dep_seq.and_then(|p| self.find_mut(p)) {
+                        None => 0,
+                        Some(e) if e.done => e.ready_at,
+                        Some(e) => {
+                            debug_assert!(e.waiter.is_none(), "load has two waiters");
+                            e.waiter = NonZeroU64::new(seq);
+                            Cycle::MAX
+                        }
+                    };
+                    self.min_dep_ready = self.min_dep_ready.min(dep_ready);
                     self.waiting.push(WaitingLoad {
                         seq,
                         va,
                         tag,
-                        dep_seq: if dependent {
-                            self.last_load_by_chain
-                                .iter()
-                                .find(|&&(c, _)| c == chain)
-                                .map(|&(_, s)| s)
-                        } else {
-                            None
-                        },
+                        dep_seq,
+                        dep_ready,
                     });
                     match self.last_load_by_chain.iter_mut().find(|e| e.0 == chain) {
                         Some(e) => e.1 = seq,
@@ -791,6 +862,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: Some(tag),
+                        waiter: None,
                     });
                     self.pc += 4;
                 }

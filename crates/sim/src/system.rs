@@ -82,7 +82,7 @@ pub struct System {
     /// empty). Event skip is disabled once any core is finished, matching
     /// the drain-phase semantics of the linear scan this replaced.
     finished_count: usize,
-    /// Global event wheel over `cores.len() + channels.len()` components:
+    /// Global next-event table over `cores.len() + channels.len()` components:
     /// component `i < cores` is core `i`'s wake event, component
     /// `cores + c` is channel `c`'s next-event estimate. Replaces the
     /// per-step linear scans over all cores and channels on the
@@ -560,8 +560,6 @@ impl System {
         std::mem::replace(&mut self.tel, Telemetry::disabled())
     }
 
-    /// One simulator cycle: DRAM completions, deferred writes, core
-    /// pipelines, event skip. Read latencies are accumulated into `mem`.
     /// Capture the raw-parts view of phase 3's state for one cycle's
     /// parallel fan-out.
     fn tick_ctx(&mut self, now: Cycle) -> TickCtx {
@@ -587,6 +585,8 @@ impl System {
         }
     }
 
+    /// One simulator cycle: DRAM completions, deferred writes, core
+    /// pipelines, event skip. Read latencies are accumulated into `mem`.
     fn step(&mut self, mem: &mut MemMetrics, comps: &mut Vec<Completion>, pool: Option<&StepPool>) {
         self.now += 1;
         self.steps += 1;

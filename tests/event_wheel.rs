@@ -3,10 +3,11 @@
 //!
 //! Two properties are enforced:
 //!
-//! 1. **Wheel ≡ linear scan.** Under a seeded random workload of posts,
-//!    cancels, and time advances, `EventWheel::next_event_after` must agree
-//!    with the exhaustive per-component scan (`scan_min_after`) it replaced
-//!    in `System::step` — same cycle, and a component holding that cycle.
+//! 1. **Table ≡ ordered-set reference model.** Under a seeded random
+//!    workload of posts, cancels, and time advances,
+//!    `EventWheel::next_event_after` must agree with a `BTreeSet<(Cycle,
+//!    usize)>` of the live postings — same cycle and same component, ties
+//!    going to the smallest id.
 //!
 //! 2. **Thread-count invariance.** Stepping the machine with the parallel
 //!    phase-3 fan-out (`System::set_step_threads`) must produce
@@ -22,38 +23,71 @@ use moca_sim::metrics::RunResult;
 use moca_sim::system::{AppLaunch, System};
 use moca_vm::policy::FirstTouchPolicy;
 use moca_workloads::{app_by_name, InputSet};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
-// 1. Differential property test: wheel vs linear-scan oracle.
+// 1. Differential property test: table vs ordered-set reference model.
 // ---------------------------------------------------------------------------
 
-/// Seeded random op mix over a wheel and a shadow copy, checking the skip
-/// query against the exhaustive scan after every mutation. Exercises ring
-/// buckets, the overflow list (far-future posts), lazy stale entries
-/// (re-posts and cancels), and monotonic time advances.
+/// Ordered-set reference: one `(cycle, component)` entry per live posting,
+/// plus each component's current cycle so a re-post can drop the old entry.
+struct SetModel {
+    posted: Vec<Cycle>,
+    set: BTreeSet<(Cycle, usize)>,
+}
+
+impl SetModel {
+    fn new(components: usize) -> SetModel {
+        SetModel {
+            posted: vec![Cycle::MAX; components],
+            set: BTreeSet::new(),
+        }
+    }
+
+    fn post(&mut self, comp: usize, cycle: Cycle) {
+        self.set.remove(&(self.posted[comp], comp));
+        self.posted[comp] = cycle;
+        if cycle != Cycle::MAX {
+            self.set.insert((cycle, comp));
+        }
+    }
+
+    fn next_event_after(&self, now: Cycle) -> Option<(Cycle, usize)> {
+        self.set.range((now + 1, 0)..).next().copied()
+    }
+}
+
+/// Seeded random op mix over the table and the reference model, checking
+/// the skip query after every mutation. Exercises near and far posts,
+/// re-posts and cancels, posts at or behind `now`, and monotonic time
+/// advances (crawls and event skips).
 #[test]
-fn wheel_matches_linear_scan_oracle() {
+fn wheel_matches_ordered_set_model() {
     const COMPONENTS: usize = 24;
     const OPS: usize = 30_000;
     let mut rng = DetRng::new(0x0e1e_c75e_ed00_0001, 7);
     let mut wheel = EventWheel::new(COMPONENTS);
+    let mut model = SetModel::new(COMPONENTS);
     let mut now: Cycle = 0;
     for op in 0..OPS {
         match rng.below(10) {
-            // Near posts land in the ring, far posts in the overflow list,
-            // `Cycle::MAX` posts are cancels in disguise.
+            // `Cycle::MAX` posts are cancels in disguise; some posts land
+            // at or behind `now` and must never be returned.
             0..=4 => {
                 let comp = rng.below(COMPONENTS as u64) as usize;
                 let cycle = match rng.below(20) {
                     0 => Cycle::MAX,
                     1..=2 => now + 1 + rng.below(100_000),
+                    3 => now.saturating_sub(rng.below(3)),
                     _ => now + 1 + rng.below(400),
                 };
                 wheel.post(comp, cycle);
+                model.post(comp, cycle);
             }
             5..=6 => {
                 let comp = rng.below(COMPONENTS as u64) as usize;
                 wheel.cancel(comp);
+                model.post(comp, Cycle::MAX);
             }
             // Advance time; occasionally jump straight to the next event
             // the way the skip path does.
@@ -61,29 +95,21 @@ fn wheel_matches_linear_scan_oracle() {
                 now += match rng.below(4) {
                     0 => 1,
                     1 => rng.below(64) + 1,
-                    _ => match wheel.scan_min_after(now) {
-                        Some((c, _)) if c != Cycle::MAX => c - now,
-                        _ => rng.below(512) + 1,
+                    _ => match model.next_event_after(now) {
+                        Some((c, _)) => c - now,
+                        None => rng.below(512) + 1,
                     },
                 };
             }
         }
         let got = wheel.next_event_after(now);
-        let want = wheel.scan_min_after(now);
-        match (got, want) {
-            (None, None) => {}
-            (Some((gc, gcomp)), Some((wc, _))) => {
-                assert_eq!(
-                    gc, wc,
-                    "op {op}: wheel cycle {gc} != scan cycle {wc} at now={now}"
-                );
-                assert_eq!(
-                    wheel.posted(gcomp),
-                    gc,
-                    "op {op}: wheel returned component {gcomp} which is not posted at {gc}"
-                );
-            }
-            (g, w) => panic!("op {op}: wheel says {g:?}, scan says {w:?} at now={now}"),
+        let want = model.next_event_after(now);
+        assert_eq!(
+            got, want,
+            "op {op}: table vs ordered-set model at now={now}"
+        );
+        if let Some((c, comp)) = got {
+            assert_eq!(wheel.posted(comp), c, "op {op}: winner not posted");
         }
     }
 }
