@@ -147,6 +147,14 @@ impl Migrator {
                 self.stats.promotions += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        os.check_invariants().unwrap_or_else(|e| {
+            // moca-lint: allow(panic-in-hot): debug-only conservation check; a violation must abort
+            panic!(
+                "OS page bookkeeping after migration epoch {}: {e}",
+                self.stats.epochs
+            )
+        });
     }
 
     /// Try to move `pfn` into a fast module: a free frame if one exists,

@@ -3,11 +3,11 @@
 
 use crate::metrics::PlacementReport;
 use moca_common::addr::{PhysAddr, VirtAddr};
-use moca_common::units::narrow_u32;
+use moca_common::units::{narrow_u32, narrow_usize};
 use moca_common::{AppId, Cycle, ObjectClass};
 use moca_telemetry::{Event, EventIntent, Telemetry};
 use moca_vm::layout::PageIntent;
-use moca_vm::{FrameSpace, PagePlacementPolicy, PageTable, Tlb};
+use moca_vm::{FrameSpace, PagePlacementPolicy, PageTable, RadixMap, Tlb};
 
 /// Telemetry's mirror of [`PageIntent`] (the telemetry crate sits below the
 /// VM layer and cannot name it directly).
@@ -20,6 +20,18 @@ fn event_intent(intent: PageIntent) -> EventIntent {
         PageIntent::Code => EventIntent::Code,
         PageIntent::Data => EventIntent::Data,
     }
+}
+
+/// Pack a frame's owner into one owner-table value. VAs stay below
+/// `STACK_TOP` (2^31), so the vpn fits the low half and the packed value
+/// never reaches the table's absent sentinel.
+fn pack_owner(app: usize, vpn: u64) -> u64 {
+    (u64::from(narrow_u32(app as u64)) << 32) | u64::from(narrow_u32(vpn))
+}
+
+/// Inverse of [`pack_owner`].
+fn unpack_owner(packed: u64) -> (usize, u64) {
+    (narrow_usize(packed >> 32), packed & u64::from(u32::MAX))
 }
 
 /// Result of translating one access.
@@ -39,8 +51,10 @@ pub struct Os {
     page_tables: Vec<PageTable>,
     tlbs: Vec<Tlb>,
     placement: PlacementReport,
-    /// Reverse map frame → (app, vpn), maintained for page migration.
-    owners: moca_common::DetMap<u64, (usize, u64)>,
+    /// Reverse map frame → packed (app, vpn), maintained for page
+    /// migration. Read only by exact pfn, never iterated by the simulation,
+    /// so a dense radix is order-safe.
+    owners: RadixMap,
     tlb_miss_penalty: Cycle,
     page_fault_penalty: Cycle,
 }
@@ -62,7 +76,7 @@ impl Os {
             policy,
             page_tables: (0..apps).map(|_| PageTable::new()).collect(),
             tlbs: (0..apps).map(|_| Tlb::new(tlb_entries)).collect(),
-            owners: moca_common::DetMap::new(),
+            owners: RadixMap::new(),
             tlb_miss_penalty,
             page_fault_penalty,
         }
@@ -199,13 +213,13 @@ impl Os {
             }
         }
         self.page_tables[core_idx].map(va.vpn(), pfn);
-        self.owners.insert(pfn, (core_idx, va.vpn()));
+        self.owners.insert(pfn, pack_owner(core_idx, va.vpn()));
         pfn
     }
 
     /// Owner of a physical frame, if mapped.
     pub fn owner_of(&self, pfn: u64) -> Option<(usize, u64)> {
-        self.owners.get(&pfn).copied()
+        self.owners.get(pfn).map(unpack_owner)
     }
 
     /// Swap the physical frames behind two mapped pages (the OS page
@@ -214,14 +228,18 @@ impl Os {
     /// shot down on every core.
     pub fn swap_frames(&mut self, a_pfn: u64, b_pfn: u64) {
         assert_ne!(a_pfn, b_pfn, "cannot swap a frame with itself");
-        let (app_a, vpn_a) = self.owners[&a_pfn];
-        let (app_b, vpn_b) = self.owners[&b_pfn];
+        let (Some((app_a, vpn_a)), Some((app_b, vpn_b))) =
+            (self.owner_of(a_pfn), self.owner_of(b_pfn))
+        else {
+            // moca-lint: allow(panic-in-hot): the migrator only swaps frames it just found mapped; an unowned one is bookkeeping corruption
+            panic!("swap of an unmapped frame: {a_pfn:#x} <-> {b_pfn:#x}");
+        };
         self.page_tables[app_a].unmap(vpn_a);
         self.page_tables[app_b].unmap(vpn_b);
         self.page_tables[app_a].map(vpn_a, b_pfn);
         self.page_tables[app_b].map(vpn_b, a_pfn);
-        self.owners.insert(b_pfn, (app_a, vpn_a));
-        self.owners.insert(a_pfn, (app_b, vpn_b));
+        self.owners.insert(b_pfn, pack_owner(app_a, vpn_a));
+        self.owners.insert(a_pfn, pack_owner(app_b, vpn_b));
         // TLB shootdown (conservatively on all cores — vpns may collide
         // across address spaces).
         for tlb in &mut self.tlbs {
@@ -232,7 +250,7 @@ impl Os {
     /// Move a mapped page onto a currently free frame of `kind`; returns
     /// the new frame, or `None` when that module has no free frame.
     pub fn move_page_to(&mut self, pfn: u64, kind: moca_common::ModuleKind) -> Option<u64> {
-        let (app, vpn) = *self.owners.get(&pfn)?;
+        let (app, vpn) = self.owner_of(pfn)?;
         // Find the region of the requested kind with space.
         let region = (0..self.frames.regions().len()).find(|&i| {
             self.frames.regions()[i].kind == kind && self.frames.free_in_region(i) > 0
@@ -240,13 +258,56 @@ impl Os {
         let new_pfn = self.frames.alloc_in_region(region)?;
         self.page_tables[app].unmap(vpn);
         self.page_tables[app].map(vpn, new_pfn);
-        self.owners.remove(&pfn);
-        self.owners.insert(new_pfn, (app, vpn));
+        self.owners.remove(pfn);
+        self.owners.insert(new_pfn, pack_owner(app, vpn));
         self.frames.free(pfn);
         for tlb in &mut self.tlbs {
             tlb.flush();
         }
         Some(new_pfn)
+    }
+
+    /// Full validation of the per-page bookkeeping: the owner table is the
+    /// exact inverse of the page tables, no frame backs two pages, and the
+    /// owned frames are exactly the allocated ones. O(mapped pages); a
+    /// debug/test hook that returns the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut owned = 0;
+        for (pfn, packed) in self.owners.iter() {
+            owned += 1;
+            let (app, vpn) = unpack_owner(packed);
+            let mapped = self
+                .page_tables
+                .get(app)
+                .and_then(|pt| pt.translate_vpn(vpn));
+            if mapped != Some(pfn) || !self.frames.is_allocated(pfn) {
+                // moca-lint: allow(hot-alloc): debug-only conservation check; allocates only to report a violation
+                return Err(format!(
+                    "frame {pfn:#x} (allocated: {}) is owned by app {app} vpn {vpn:#x}, which maps {mapped:?}",
+                    self.frames.is_allocated(pfn)
+                ));
+            }
+        }
+        // Every owner entry maps back to a distinct mapping of an allocated
+        // frame, so equal counts make the tables inverse (each mapping is
+        // its frame's owner, no frame is mapped twice) and leave no frame
+        // allocated without an owner.
+        let mapped: usize = self.page_tables.iter().map(PageTable::mapped_pages).sum();
+        let allocated: u64 = (0..self.frames.regions().len())
+            .map(|i| self.frames.regions()[i].frames - self.frames.free_in_region(i))
+            .sum();
+        if mapped != owned || allocated != owned as u64 {
+            // moca-lint: allow(hot-alloc): debug-only conservation check; allocates only to report a violation
+            return Err(format!(
+                "{mapped} pages mapped, {owned} frames owned, {allocated} frames allocated"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Page table of the app on `core_idx`.
+    pub fn page_table(&self, core_idx: usize) -> &PageTable {
+        &self.page_tables[core_idx]
     }
 
     /// Placement statistics.

@@ -352,6 +352,9 @@ impl System {
         os.frames()
             .check_invariants()
             .unwrap_or_else(|e| panic!("frame allocator invariants after startup prefault: {e}"));
+        #[cfg(debug_assertions)]
+        os.check_invariants()
+            .unwrap_or_else(|e| panic!("OS page bookkeeping after startup prefault: {e}"));
 
         let n = cores.len();
         let channel_count = channels.len();

@@ -355,6 +355,12 @@ impl FrameSpace {
         self.region_of(pfn).map(|r| r.kind)
     }
 
+    /// Whether `pfn` is currently allocated (false outside every region).
+    pub fn is_allocated(&self, pfn: u64) -> bool {
+        self.region_index_of(pfn)
+            .is_some_and(|i| self.occ[i].get(pfn - self.regions[i].base_pfn))
+    }
+
     /// Heap bytes held by the allocator's bookkeeping (bitmaps, reuse
     /// caches, region table). Bounded by `total_frames/8` for the bit level
     /// plus `total_frames/512` for the summaries plus `FREE_CACHE`

@@ -19,10 +19,12 @@ pub mod frames;
 pub mod layout;
 pub mod page_table;
 pub mod policy;
+pub mod radix;
 pub mod tlb;
 
 pub use frames::{FrameError, FrameSpace, FreeErrorCause, ModuleRegion, FREE_CACHE, STRIPE_CHUNK};
 pub use layout::{partition_base, segment_of_va, HeapLayout, PageIntent};
 pub use page_table::PageTable;
 pub use policy::{preference_order, PagePlacementPolicy};
+pub use radix::RadixMap;
 pub use tlb::Tlb;

@@ -1,35 +1,20 @@
 //! Per-process page table.
 
+use crate::radix::RadixMap;
 use moca_common::addr::{PhysAddr, VirtAddr};
-use moca_common::units::narrow_usize;
-
-/// Pages per radix chunk (a 4 KiB chunk of 8-byte entries).
-const CHUNK: usize = 512;
-
-/// Split a vpn into (chunk index, offset within chunk).
-#[inline]
-fn split(vpn: u64) -> (usize, usize) {
-    let vpn = narrow_usize(vpn);
-    (vpn / CHUNK, vpn % CHUNK)
-}
-
-/// Sentinel for "not mapped" (frame numbers are derived from physical
-/// capacities many orders of magnitude below this).
-const UNMAPPED: u64 = u64::MAX;
 
 /// A flat virtual→physical page map (the simulator's stand-in for the
 /// multi-level x86 table; the page-walk *cost* is modelled by the TLB-miss
 /// penalty in the core).
 ///
 /// Translation is the hottest VM operation — every TLB miss lands here —
-/// so the table is a two-level dense radix over the VPN rather than an
-/// ordered map: chunk `vpn / 512` is a lazily allocated array indexed by
-/// `vpn % 512`. Lookups are two dereferences with no comparisons, and
-/// [`PageTable::iter`] walks chunks in index order so observable iteration
-/// remains ascending-by-vpn exactly as with the previous `DetMap`.
+/// so the table is a dense [`RadixMap`] over the VPN rather than an ordered
+/// map: lookups are two dereferences with no comparisons, and
+/// [`PageTable::iter`] remains ascending-by-vpn exactly as with the
+/// previous `DetMap`.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    chunks: Vec<Option<Box<[u64; CHUNK]>>>,
+    map: RadixMap,
     mapped: usize,
 }
 
@@ -42,12 +27,7 @@ impl PageTable {
     /// Translate a virtual page number. `None` ⇒ page fault.
     #[inline]
     pub fn translate_vpn(&self, vpn: u64) -> Option<u64> {
-        let (ci, off) = split(vpn);
-        let chunk = self.chunks.get(ci)?.as_ref()?;
-        match chunk[off] {
-            UNMAPPED => None,
-            pfn => Some(pfn),
-        }
+        self.map.get(vpn)
     }
 
     /// Translate a full virtual address, preserving the page offset.
@@ -59,34 +39,16 @@ impl PageTable {
     /// Install a mapping. Panics on double-mapping a vpn (a bug in the
     /// fault handler).
     pub fn map(&mut self, vpn: u64, pfn: u64) {
-        assert!(
-            pfn != UNMAPPED,
-            "pfn {pfn:#x} collides with the unmapped sentinel"
-        );
-        let (ci, off) = split(vpn);
-        if ci >= self.chunks.len() {
-            self.chunks.resize_with(ci + 1, || None);
-        }
-        let chunk = self.chunks[ci].get_or_insert_with(|| Box::new([UNMAPPED; CHUNK]));
-        let entry = &mut chunk[off];
-        assert!(*entry == UNMAPPED, "vpn {vpn:#x} double-mapped");
-        *entry = pfn;
+        let old = self.map.insert(vpn, pfn);
+        assert!(old.is_none(), "vpn {vpn:#x} double-mapped");
         self.mapped += 1;
     }
 
     /// Remove a mapping, returning the frame it pointed to.
     pub fn unmap(&mut self, vpn: u64) -> Option<u64> {
-        let (ci, off) = split(vpn);
-        let chunk = self.chunks.get_mut(ci)?.as_mut()?;
-        let entry = &mut chunk[off];
-        match *entry {
-            UNMAPPED => None,
-            pfn => {
-                *entry = UNMAPPED;
-                self.mapped -= 1;
-                Some(pfn)
-            }
-        }
+        let pfn = self.map.remove(vpn);
+        self.mapped -= usize::from(pfn.is_some());
+        pfn
     }
 
     /// Number of mapped pages.
@@ -97,17 +59,7 @@ impl PageTable {
     /// Iterate over `(vpn, pfn)` pairs in ascending vpn order (used by
     /// placement statistics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| c.as_ref().map(|c| (ci, c)))
-            .flat_map(|(ci, chunk)| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &pfn)| pfn != UNMAPPED)
-                    .map(move |(off, &pfn)| ((ci * CHUNK + off) as u64, pfn))
-            })
+        self.map.iter()
     }
 }
 
