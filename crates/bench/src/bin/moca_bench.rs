@@ -1,31 +1,23 @@
-//! `moca-bench`: simulator benchmarking entry point.
+//! `moca-bench`: regression gate over `repro explain` reports.
 //!
 //! ```text
-//! moca-bench perf [--quick] [--step-threads N] [--out FILE] [--compare FILE]
 //! moca-bench diff BASELINE FRESH [--tolerance PCT]
 //! ```
 //!
-//! `perf` runs the fixed cycle-engine basket (see `moca_bench::perf`) and
-//! writes `BENCH_cycle_engine.json`. `--step-threads N` runs the basket
-//! with intra-run parallel core stepping (`MOCA_STEP_THREADS`; results are
-//! byte-identical, only the wall clock moves). With `--compare FILE` it
-//! also diffs against a committed baseline, prints the per-component delta
-//! table, and exits 1 when a gated entry (memory-bound or `mix-heter*`)
-//! lost more than 20% cycles/host-second.
+//! `diff` compares two `moca-explain/v1` reports and gates: exit 0 when
+//! clean, 1 on a simulated-runtime growth beyond the tolerance (default
+//! 10%), 2 on unusable inputs — missing, unparseable or schema-less
+//! files, reports of any other schema, and reports with no cores, which
+//! are an error rather than a silent pass.
 //!
-//! `diff` compares two committed reports (perf or `repro explain` JSON) and
-//! *does* gate: exit 0 when clean, 1 on a regression beyond the tolerance
-//! (default 10%), 2 on unusable inputs — including empty baskets, which are
-//! an error rather than a silent pass.
+//! Host-time performance is measured by the repository benchmark
+//! (`BENCHMARK.json`), not here.
 
-use moca_bench::{diff, perf};
+use moca_bench::diff;
 use std::path::PathBuf;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: moca-bench perf [--quick] [--step-threads N] [--out FILE] [--compare FILE]\n\
-         \x20      moca-bench diff BASELINE FRESH [--tolerance PCT]"
-    );
+    eprintln!("usage: moca-bench diff BASELINE FRESH [--tolerance PCT]");
     std::process::exit(2);
 }
 
@@ -80,68 +72,7 @@ fn diff_main(mut args: impl Iterator<Item = String>) -> ! {
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("perf") => {}
         Some("diff") => diff_main(args),
         _ => usage(),
-    }
-    let mut quick = false;
-    let mut out = PathBuf::from("BENCH_cycle_engine.json");
-    let mut compare: Option<PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--step-threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                match v.parse::<usize>() {
-                    // System::new resolves MOCA_STEP_THREADS, so the flag
-                    // reaches every basket entry.
-                    Ok(n) if n > 0 => std::env::set_var("MOCA_STEP_THREADS", n.to_string()),
-                    _ => {
-                        eprintln!(
-                            "moca-bench perf: --step-threads wants a positive thread count, got {v:?}"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--compare" => compare = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            _ => usage(),
-        }
-    }
-
-    let report = perf::run_perf(quick);
-    print!("{}", perf::render(&report));
-    if let Err(e) = perf::save(&report, &out) {
-        eprintln!("warning: could not save {}: {e}", out.display());
-    } else {
-        eprintln!("perf: report written to {}", out.display());
-    }
-
-    if let Some(base_path) = compare {
-        match perf::load(&base_path) {
-            Ok(base) => {
-                let regressed = perf::compare(&base, &report, 0.20);
-                for name in &regressed {
-                    // GitHub Actions picks `::error::` up as an annotation;
-                    // everywhere else it is just a loud line. The 20% margin
-                    // absorbs shared-runner noise; real engine regressions
-                    // blow straight past it, so this gate *fails*.
-                    println!(
-                        "::error::moca-bench perf: {name} regressed >20% cycles/host-second vs {}",
-                        base_path.display()
-                    );
-                }
-                if regressed.is_empty() {
-                    println!("perf: no gated regression vs {}", base_path.display());
-                } else {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => eprintln!(
-                "warning: could not load baseline {}: {e}",
-                base_path.display()
-            ),
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...
-//! repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--top N]
+//! repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...
+//! repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]
 //!
 //! targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11
 //!          fig12 fig13 fig14 fig15 fig16 thresholds migration ablations all
@@ -28,9 +28,7 @@
 //!
 //! `--jobs N` caps the host worker threads used to fan simulations out
 //! (also settable via the `MOCA_JOBS` environment variable; the flag wins).
-//! `--step-threads N` additionally parallelizes core stepping *inside*
-//! each simulation (`MOCA_STEP_THREADS`; default sequential). Results are
-//! bit-identical regardless of either count.
+//! Results are bit-identical regardless of the count.
 //!
 //! Results are printed as aligned tables and saved as JSON under `--out`
 //! (default `results/`). Progress lines go to stderr and to
@@ -52,14 +50,36 @@ use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...\n\
-         \x20      repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--top N]\n\
+        "usage: repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...\n\
+         \x20      repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]\n\
          targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11 \
          fig12 fig13 fig14 fig15 fig16 thresholds migration ablations all\n\
          mems:    ddr3 lp rl hbm heter1 heter2 heter3"
     );
     std::process::exit(2);
 }
+
+/// Every target `all` expands to, in the order the usage line lists them.
+const TARGETS: [&str; 18] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig1",
+    "fig2",
+    "fig5",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "thresholds",
+    "migration",
+    "ablations",
+];
 
 fn set_jobs(n: &str) {
     match n.parse::<usize>() {
@@ -83,19 +103,6 @@ fn parse_capacity_scale(n: &str) -> f64 {
     }
 }
 
-fn set_step_threads(n: &str) {
-    match n.parse::<usize>() {
-        // `System::new` resolves MOCA_STEP_THREADS, so exporting it here
-        // reaches every simulation the targets construct. Results are
-        // byte-identical for any value (see DESIGN.md §9).
-        Ok(v) if v > 0 => std::env::set_var("MOCA_STEP_THREADS", v.to_string()),
-        _ => {
-            eprintln!("repro: --step-threads wants a positive thread count, got {n:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// `repro explain`: one attribution-instrumented run, rendered + JSON.
 fn explain_main(args: &[String]) -> ! {
     let mut spec = moca_bench::explain::ExplainSpec::default();
@@ -108,7 +115,6 @@ fn explain_main(args: &[String]) -> ! {
             "--quick" => spec.quick = true,
             "--quiet" => quiet = true,
             "--jobs" => set_jobs(&it.next().cloned().unwrap_or_else(|| usage())),
-            "--step-threads" => set_step_threads(&it.next().cloned().unwrap_or_else(|| usage())),
             "--capacity-scale" => {
                 spec.capacity_scale = Some(parse_capacity_scale(
                     &it.next().cloned().unwrap_or_else(|| usage()),
@@ -126,6 +132,10 @@ fn explain_main(args: &[String]) -> ! {
                 }
             }
             "-h" | "--help" => usage(),
+            f if f.starts_with('-') => {
+                eprintln!("repro explain: unknown option {f:?}");
+                usage();
+            }
             p => positionals.push(p),
         }
     }
@@ -188,7 +198,6 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--quiet" => quiet = true,
             "--jobs" => set_jobs(&args.next().unwrap_or_else(|| usage())),
-            "--step-threads" => set_step_threads(&args.next().unwrap_or_else(|| usage())),
             "--capacity-scale" => {
                 capacity_scale = parse_capacity_scale(&args.next().unwrap_or_else(|| usage()));
             }
@@ -207,6 +216,10 @@ fn main() {
                 }
             }
             "-h" | "--help" => usage(),
+            f if f.starts_with('-') => {
+                eprintln!("repro: unknown option {f:?}");
+                usage();
+            }
             t => {
                 targets.insert(t.to_string());
             }
@@ -216,28 +229,11 @@ fn main() {
         usage();
     }
     if targets.remove("all") {
-        for t in [
-            "table1",
-            "table2",
-            "table3",
-            "fig1",
-            "fig2",
-            "fig5",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "thresholds",
-            "migration",
-            "ablations",
-        ] {
-            targets.insert(t.to_string());
-        }
+        targets.extend(TARGETS.iter().map(|t| t.to_string()));
+    }
+    if let Some(t) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        eprintln!("repro: unknown target {t:?}");
+        usage();
     }
 
     let mut progress = ProgressReporter::new(Some(&out_dir.join("repro_progress.log")));

@@ -9,8 +9,6 @@ pub mod diff;
 pub mod experiments;
 pub mod explain;
 pub mod harness;
-pub mod microbench;
-pub mod perf;
 pub mod report;
 
 pub use harness::{Scale, SeededPipeline};

@@ -24,9 +24,15 @@
 //! operations themselves serialize. Waits are spin-then-yield so the scheme
 //! degrades gracefully when the host has fewer CPUs than threads.
 //!
-//! Thread count resolution: [`resolve_step_threads`] — explicit request,
-//! else the `MOCA_STEP_THREADS` environment variable, else 1 (parallel
-//! stepping is strictly opt-in; the sequential path has zero overhead).
+//! Parallel stepping is strictly opt-in through `System::set_step_threads`;
+//! a new `System` steps on one thread and the sequential path has zero
+//! overhead. No command-line flag or environment variable reaches it: on a
+//! 2-CPU host two step threads ran about 2× slower than one, because the
+//! frontier serializes every `MemPort` call. The engine stays only because
+//! the benchmark package calls `set_step_threads(1)` on every machine it
+//! builds and a benchmark test checks that `set_step_threads(2)` spawns
+//! threads; deleting it needs a change to the benchmark that drops those
+//! calls first.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,23 +46,6 @@ use moca_cpu::{Core, MemPort, MemReply, StoreReply};
 use moca_dram::{AddressMapper, Channel};
 use moca_telemetry::Telemetry;
 use moca_workloads::AppRun;
-
-/// Resolve the step-thread count: `explicit` if given, else the
-/// `MOCA_STEP_THREADS` environment variable, else 1 (sequential).
-pub fn resolve_step_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("MOCA_STEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid MOCA_STEP_THREADS={v:?} (want a positive integer)");
-    }
-    1
-}
 
 /// Spin briefly, then yield: correct on hosts with fewer CPUs than threads
 /// (a pure spin would burn whole scheduler quanta waiting for a descheduled
@@ -328,12 +317,6 @@ impl StepPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolve_prefers_explicit() {
-        assert_eq!(resolve_step_threads(Some(3)), 3);
-        assert_eq!(resolve_step_threads(Some(0)), 1);
-    }
 
     #[test]
     fn frontier_orders_positions() {

@@ -5,7 +5,7 @@ use crate::hierarchy::CoreHierarchy;
 use crate::metrics::{ChannelReport, CoreResult, MemMetrics, RunResult};
 use crate::migration::{MigrationConfig, Migrator};
 use crate::os::Os;
-use crate::par_step::{resolve_step_threads, SleepSlot, StepPool, TickCtx};
+use crate::par_step::{SleepSlot, StepPool, TickCtx};
 use moca_common::ids::MemTag;
 use moca_common::wheel::EventWheel;
 use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr};
@@ -381,7 +381,7 @@ impl System {
             deferred_words: vec![0; n.div_ceil(64)],
             steps: 0,
             steps_at_tick: vec![0; n],
-            step_threads: resolve_step_threads(None),
+            step_threads: 1,
             awake: Vec::with_capacity(n),
             sleeps: vec![SleepSlot::Runnable; n],
             hier_deferred: vec![false; n],
@@ -961,10 +961,9 @@ impl System {
     }
 
     /// Set the phase-3 worker-thread count for subsequent runs (1 =
-    /// sequential, the default unless `MOCA_STEP_THREADS` is set). Results
-    /// are bit-identical for every value — parallelism only changes which
-    /// host thread executes a core's tick, never the order of shared-state
-    /// operations.
+    /// sequential, the default). Results are bit-identical for every value
+    /// — parallelism only changes which host thread executes a core's tick,
+    /// never the order of shared-state operations.
     pub fn set_step_threads(&mut self, threads: usize) {
         self.step_threads = threads.max(1);
     }
