@@ -1,7 +1,7 @@
 //! Set-associative write-back cache with true LRU replacement.
 
 use moca_common::addr::{LineAddr, CACHE_LINE_SIZE};
-use moca_common::units::narrow_usize;
+use moca_common::units::{narrow_u32, narrow_usize};
 use moca_common::{Cycle, KB};
 use serde::{Deserialize, Serialize};
 
@@ -94,15 +94,20 @@ impl CacheStats {
 /// The cache proper.
 ///
 /// Way state is stored struct-of-arrays, way `w` of set `s` at index
-/// `s * ways + w`, so a probe compares one contiguous run of `u64` keys.
-/// A key is `tag + 1`, and 0 marks an invalid way: line addresses are byte
-/// addresses over the line size, so a tag never reaches `u64::MAX`.
+/// `s * ways + w`, 6 bytes a way, so a probe compares one contiguous run of
+/// `u32` keys. A key is `tag + 1`, and 0 marks an invalid way. A tag that
+/// does not fit panics with its value rather than aliasing another line;
+/// none occurs in simulation, where a machine has at most 2 GiB (2^25
+/// lines).
+///
+/// `rank` is each way's place in its set's recency order, 0 = most recent;
+/// a set's ranks are always a permutation of `0..ways`. The LRU victim is
+/// the way ranked `ways - 1`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    keys: Vec<u64>,
-    /// LRU timestamp per way: larger = more recently used.
-    used: Vec<u64>,
+    keys: Vec<u32>,
+    rank: Vec<u8>,
     dirty: Vec<bool>,
     set_count: u64,
     /// `set_count - 1`; the set count is asserted to be a power of two, so
@@ -112,12 +117,12 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_shift: u32,
     ways: usize,
-    clock: u64,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
-    /// Build an empty cache. Panics if the geometry is degenerate.
+    /// Build an empty cache. Panics if the geometry is degenerate or has
+    /// more ways than a byte-wide recency rank can order.
     pub fn new(cfg: CacheConfig) -> SetAssocCache {
         let set_count = cfg.sets();
         assert!(
@@ -125,17 +130,16 @@ impl SetAssocCache {
             "bad set count"
         );
         let ways = cfg.ways as usize;
-        assert!(ways > 0);
+        assert!(ways > 0 && ways <= 256, "bad associativity {ways}");
         let slots = (set_count as usize) * ways;
         SetAssocCache {
             keys: vec![0; slots],
-            used: vec![0; slots],
+            rank: (0..slots).map(|slot| (slot % ways) as u8).collect(),
             dirty: vec![false; slots],
             set_count,
             set_mask: set_count - 1,
             set_shift: set_count.trailing_zeros(),
             ways,
-            clock: 0,
             cfg,
             stats: CacheStats::default(),
         }
@@ -153,15 +157,15 @@ impl SetAssocCache {
 
     /// First way of `line`'s set and the key `line` is stored under.
     #[inline]
-    fn index(&self, line: LineAddr) -> (usize, u64) {
+    fn index(&self, line: LineAddr) -> (usize, u32) {
         let set = narrow_usize(line.0 & self.set_mask);
-        let key = (line.0 >> self.set_shift) + 1;
+        let key = narrow_u32((line.0 >> self.set_shift) + 1);
         (set * self.ways, key)
     }
 
     /// Slot holding `key` in the set starting at `base`, if resident.
     #[inline]
-    fn probe(&self, base: usize, key: u64) -> Option<usize> {
+    fn probe(&self, base: usize, key: u32) -> Option<usize> {
         self.keys[base..base + self.ways]
             .iter()
             .position(|&k| k == key)
@@ -172,7 +176,37 @@ impl SetAssocCache {
     #[inline]
     fn line_at(&self, slot: usize) -> LineAddr {
         let set = (slot / self.ways) as u64;
-        LineAddr((self.keys[slot] - 1) * self.set_count + set)
+        LineAddr(u64::from(self.keys[slot] - 1) * self.set_count + set)
+    }
+
+    /// Make `slot` the most recent way of the set starting at `base`: every
+    /// way more recent than it moves back one place, and it takes rank 0.
+    #[inline]
+    fn touch(&mut self, base: usize, slot: usize) {
+        let ranks = &mut self.rank[base..base + self.ways];
+        let touched = ranks[slot - base];
+        for r in ranks.iter_mut() {
+            *r += u8::from(*r < touched);
+        }
+        ranks[slot - base] = 0;
+        debug_assert!(
+            self.ranks_are_permutation(base),
+            "{}: set ranks {:?} are not a permutation of 0..{}",
+            self.cfg.name,
+            &self.rank[base..base + self.ways],
+            self.ways
+        );
+    }
+
+    /// Whether the set starting at `base` ranks its ways `0..ways`, each
+    /// once (the invariant `touch` keeps).
+    fn ranks_are_permutation(&self, base: usize) -> bool {
+        let mut seen = [false; 256];
+        self.rank[base..base + self.ways].iter().all(|&r| {
+            let fresh = usize::from(r) < self.ways && !seen[usize::from(r)];
+            seen[usize::from(r)] = true;
+            fresh
+        })
     }
 
     /// Demand access. Returns `true` on hit; on a hit, LRU is updated and
@@ -180,11 +214,10 @@ impl SetAssocCache {
     /// the caller drives the fill via [`SetAssocCache::fill`] once the data
     /// arrives (write-allocate).
     pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
         let (base, key) = self.index(line);
         if let Some(slot) = self.probe(base, key) {
-            self.used[slot] = self.clock;
+            self.touch(base, slot);
             self.dirty[slot] |= write;
             self.stats.hits += 1;
             return true;
@@ -205,25 +238,22 @@ impl SetAssocCache {
     /// Filling a line that is already present just refreshes its state (this
     /// happens when an MSHR merged multiple requests to the line).
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Victim> {
-        self.clock += 1;
         let (base, key) = self.index(line);
         if let Some(slot) = self.probe(base, key) {
-            self.used[slot] = self.clock;
+            self.touch(base, slot);
             self.dirty[slot] |= dirty;
             return None;
         }
-        // The first invalid way, else the first least recently used one.
+        // The first invalid way, else the least recently used one.
         let slot = match self.probe(base, 0) {
             Some(slot) => slot,
             None => {
-                let used = &self.used[base..base + self.ways];
-                let mut lru = 0;
-                for (w, &u) in used.iter().enumerate() {
-                    if u < used[lru] {
-                        lru = w;
-                    }
-                }
-                base + lru
+                let last = (self.ways - 1) as u8;
+                let ranks = &self.rank[base..base + self.ways];
+                base + ranks
+                    .iter()
+                    .position(|&r| r == last)
+                    .expect("ranks are a permutation")
             }
         };
         let victim = if self.keys[slot] != 0 {
@@ -239,7 +269,7 @@ impl SetAssocCache {
             None
         };
         self.keys[slot] = key;
-        self.used[slot] = self.clock;
+        self.touch(base, slot);
         self.dirty[slot] = dirty;
         victim
     }
@@ -250,10 +280,9 @@ impl SetAssocCache {
     /// a valid line.
     pub fn writeback(&mut self, line: LineAddr) -> Option<Victim> {
         let (base, key) = self.index(line);
-        self.clock += 1;
         if let Some(slot) = self.probe(base, key) {
             self.dirty[slot] = true;
-            self.used[slot] = self.clock;
+            self.touch(base, slot);
             return None;
         }
         self.fill(line, true)
@@ -429,6 +458,23 @@ mod tests {
         assert!(!c.contains(line(0, 1)));
         assert!(!c.contains(line(1, 1)));
         assert!(c.contains(line(2, 9)), "unmatched line must survive");
+    }
+
+    #[test]
+    fn widest_tag_gets_the_largest_key() {
+        let mut c = tiny();
+        let top = line(3, u64::from(u32::MAX) - 1);
+        assert_eq!(c.fill(top, true), None);
+        c.fill(line(3, 0), false);
+        let v = c.fill(line(3, 1), false).expect("eviction");
+        assert_eq!(v.line, top, "the key must round-trip to the same line");
+    }
+
+    #[test]
+    #[should_panic(expected = "value 4294967296 does not fit in u32")]
+    fn tag_beyond_key_width_panics_instead_of_aliasing() {
+        // Truncated to 32 bits this key would be 0, the invalid marker.
+        tiny().access(line(0, u64::from(u32::MAX)), false);
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Differential oracles for the per-access lookup structures.
 //!
 //! `Tlb` (hash index plus recency list) and `SetAssocCache` (struct-of-arrays
-//! way state) are fuzzed against deliberately naive reference models: a
-//! linear-scan, timestamp-LRU TLB and an array-of-structs cache whose
+//! way state, 32-bit keys, per-set recency ranks) are fuzzed against
+//! deliberately naive reference models: a linear-scan, timestamp-LRU TLB
+//! and an array-of-structs cache with 64-bit tags and timestamps whose
 //! victim search walks every way. Each geometry runs 100k+ seeded
-//! operations, and every return value, statistic, victim and resident line
-//! set must agree. A difference in victim choice would shift every
+//! operations, a share of the cache's lines at the top of the largest
+//! physical space, and every return value, statistic, victim and resident
+//! line set must agree. A difference in victim choice would shift every
 //! simulated result after it, so it fails here before the golden digests
 //! notice.
 
 use moca_cache::{CacheConfig, SetAssocCache, Victim};
+use moca_common::addr::{CACHE_LINE_SIZE, PAGE_SIZE};
 use moca_common::rng::DetRng;
-use moca_common::LineAddr;
+use moca_common::{LineAddr, ModuleKind};
+use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_vm::Tlb;
 use proptest::prelude::*;
 
@@ -318,6 +322,25 @@ fn tiny() -> CacheConfig {
     }
 }
 
+/// The highest line address of the largest physical space any
+/// `SystemConfig` builds at capacity scale 1.
+fn top_line() -> u64 {
+    let layouts = [
+        HeterogeneousLayout::config1(),
+        HeterogeneousLayout::config2(),
+        HeterogeneousLayout::config3(),
+    ];
+    ModuleKind::ALL
+        .map(MemSystemConfig::Homogeneous)
+        .into_iter()
+        .chain(layouts.map(MemSystemConfig::Heterogeneous))
+        .flat_map(|mem| mem.frame_regions(1.0))
+        .map(|r| (r.base_pfn + r.frames) * PAGE_SIZE / CACHE_LINE_SIZE)
+        .max()
+        .expect("at least one region")
+        - 1
+}
+
 fn cache_run(cfg: CacheConfig, seed: u64, ops: u64) {
     let name = cfg.name;
     let sets = cfg.sets();
@@ -329,11 +352,21 @@ fn cache_run(cfg: CacheConfig, seed: u64, ops: u64) {
     // fill, hit and evict; the rest of the traffic spreads over the cache.
     let hot_sets: Vec<u64> = (0..8).map(|_| rng.below(sets)).collect();
     let hot_tags = assoc + assoc.div_ceil(2);
+    // A fifth of the traffic is mirrored to the top of the physical space,
+    // where a key narrowed too far would alias a low line. The space is a
+    // whole number of sets, so mirroring keeps the hot-set structure.
+    let top = top_line();
+    assert_eq!((top + 1) % sets, 0, "{name}: space is not whole sets");
     for op in 0..ops {
         let line = if rng.chance(0.8) {
             LineAddr(rng.below(hot_tags) * sets + hot_sets[rng.below(8) as usize])
         } else {
             LineAddr(rng.below(sets * assoc * 4))
+        };
+        let line = if rng.chance(0.2) {
+            LineAddr(top - line.0)
+        } else {
+            line
         };
         match rng.below(100) {
             0..=39 => {
