@@ -182,7 +182,7 @@ impl Migrator {
         let victim = self
             .resident_heat
             .iter()
-            .filter(|&(&v, _)| os.owner_of(v).is_some() && v != pfn)
+            .filter(|&(&v, _)| os.is_owned(v) && v != pfn)
             .min_by_key(|&(&v, &h)| (h, v))
             .map(|(&v, &h)| (v, h));
         match victim {

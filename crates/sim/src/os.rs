@@ -3,7 +3,7 @@
 
 use crate::metrics::PlacementReport;
 use moca_common::addr::{PhysAddr, VirtAddr};
-use moca_common::units::{narrow_u32, narrow_usize};
+use moca_common::units::narrow_u32;
 use moca_common::{AppId, Cycle, ObjectClass};
 use moca_telemetry::{Event, EventIntent, Telemetry};
 use moca_vm::layout::PageIntent;
@@ -20,18 +20,6 @@ fn event_intent(intent: PageIntent) -> EventIntent {
         PageIntent::Code => EventIntent::Code,
         PageIntent::Data => EventIntent::Data,
     }
-}
-
-/// Pack a frame's owner into one owner-table value. VAs stay below
-/// `STACK_TOP` (2^31), so the vpn fits the low half and the packed value
-/// never reaches the table's absent sentinel.
-fn pack_owner(app: usize, vpn: u64) -> u64 {
-    (u64::from(narrow_u32(app as u64)) << 32) | u64::from(narrow_u32(vpn))
-}
-
-/// Inverse of [`pack_owner`].
-fn unpack_owner(packed: u64) -> (usize, u64) {
-    (narrow_usize(packed >> 32), packed & u64::from(u32::MAX))
 }
 
 /// Result of translating one access.
@@ -51,9 +39,11 @@ pub struct Os {
     page_tables: Vec<PageTable>,
     tlbs: Vec<Tlb>,
     placement: PlacementReport,
-    /// Reverse map frame → packed (app, vpn), maintained for page
-    /// migration. Read only by exact pfn, never iterated by the simulation,
-    /// so a dense radix is order-safe.
+    /// Reverse map frame → the vpn mapped to it, maintained for page
+    /// migration. The owning app is not stored: it is the one page table
+    /// that maps that vpn to the frame ([`Os::owner_of`]). Read only by
+    /// exact pfn, never iterated by the simulation, so a dense radix is
+    /// order-safe.
     owners: RadixMap,
     tlb_miss_penalty: Cycle,
     page_fault_penalty: Cycle,
@@ -213,13 +203,25 @@ impl Os {
             }
         }
         self.page_tables[core_idx].map(va.vpn(), pfn);
-        self.owners.insert(pfn, pack_owner(core_idx, va.vpn()));
+        self.owners.insert(pfn, va.vpn());
         pfn
     }
 
-    /// Owner of a physical frame, if mapped.
+    /// Owner `(app, vpn)` of a physical frame, if mapped. The app is found
+    /// by probing each page table for the stored vpn (at most one radix
+    /// lookup per app); only page migration and debug checks ask.
     pub fn owner_of(&self, pfn: u64) -> Option<(usize, u64)> {
-        self.owners.get(pfn).map(unpack_owner)
+        let vpn = self.owners.get(pfn)?;
+        let app = self
+            .page_tables
+            .iter()
+            .position(|pt| pt.translate_vpn(vpn) == Some(pfn))?;
+        Some((app, vpn))
+    }
+
+    /// Whether a physical frame backs a mapped page.
+    pub fn is_owned(&self, pfn: u64) -> bool {
+        self.owners.get(pfn).is_some()
     }
 
     /// Swap the physical frames behind two mapped pages (the OS page
@@ -238,8 +240,8 @@ impl Os {
         self.page_tables[app_b].unmap(vpn_b);
         self.page_tables[app_a].map(vpn_a, b_pfn);
         self.page_tables[app_b].map(vpn_b, a_pfn);
-        self.owners.insert(b_pfn, pack_owner(app_a, vpn_a));
-        self.owners.insert(a_pfn, pack_owner(app_b, vpn_b));
+        self.owners.insert(b_pfn, vpn_a);
+        self.owners.insert(a_pfn, vpn_b);
         // TLB shootdown (conservatively on all cores — vpns may collide
         // across address spaces).
         for tlb in &mut self.tlbs {
@@ -259,7 +261,7 @@ impl Os {
         self.page_tables[app].unmap(vpn);
         self.page_tables[app].map(vpn, new_pfn);
         self.owners.remove(pfn);
-        self.owners.insert(new_pfn, pack_owner(app, vpn));
+        self.owners.insert(new_pfn, vpn);
         self.frames.free(pfn);
         for tlb in &mut self.tlbs {
             tlb.flush();
@@ -273,17 +275,12 @@ impl Os {
     /// debug/test hook that returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut owned = 0;
-        for (pfn, packed) in self.owners.iter() {
+        for (pfn, vpn) in self.owners.iter() {
             owned += 1;
-            let (app, vpn) = unpack_owner(packed);
-            let mapped = self
-                .page_tables
-                .get(app)
-                .and_then(|pt| pt.translate_vpn(vpn));
-            if mapped != Some(pfn) || !self.frames.is_allocated(pfn) {
+            if self.owner_of(pfn).is_none() || !self.frames.is_allocated(pfn) {
                 // moca-lint: allow(hot-alloc): debug-only conservation check; allocates only to report a violation
                 return Err(format!(
-                    "frame {pfn:#x} (allocated: {}) is owned by app {app} vpn {vpn:#x}, which maps {mapped:?}",
+                    "frame {pfn:#x} (allocated: {}) is owned by vpn {vpn:#x}, which no app maps to it",
                     self.frames.is_allocated(pfn)
                 ));
             }

@@ -8,7 +8,7 @@ use crate::os::Os;
 use crate::par_step::{SleepSlot, StepPool, TickCtx};
 use moca_common::ids::MemTag;
 use moca_common::wheel::EventWheel;
-use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr};
+use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr, PAGE_SIZE};
 use moca_cpu::{Core, MemPort, MemReply, StoreReply};
 use moca_dram::{AddressMapper, Channel, Completion};
 use moca_telemetry::attribution::{tier_index, AttrSnapshot, Mechanism, OccupancySample};
@@ -17,6 +17,7 @@ use moca_vm::layout::HeapLayout;
 use moca_vm::{FrameSpace, PagePlacementPolicy};
 use moca_workloads::gen::scaled_sizes;
 use moca_workloads::{AppRun, AppSpec, InputSet};
+use std::ops::RangeInclusive;
 
 /// One application to launch on one core.
 pub struct AppLaunch {
@@ -219,6 +220,17 @@ impl MemPort for Port<'_> {
     }
 }
 
+/// Debug-build conservation check: the frame allocator's own invariants,
+/// and the OS's owner table as the exact inverse of its page tables.
+#[cfg(debug_assertions)]
+fn check_page_bookkeeping(os: &Os, when: &str) {
+    os.frames()
+        .check_invariants()
+        .unwrap_or_else(|e| panic!("frame allocator invariants {when}: {e}"));
+    os.check_invariants()
+        .unwrap_or_else(|e| panic!("OS page bookkeeping {when}: {e}"));
+}
+
 impl System {
     /// Build a machine running `launches` (one per core) under `policy`.
     pub fn new(
@@ -266,7 +278,7 @@ impl System {
         let mut hiers = Vec::with_capacity(cfg.cores);
         let mut streams = Vec::with_capacity(cfg.cores);
         let mut app_names = Vec::with_capacity(cfg.cores);
-        let mut page_lists: Vec<Vec<VirtAddr>> = Vec::with_capacity(cfg.cores);
+        let mut pages = Vec::with_capacity(cfg.cores);
         for (i, launch) in launches.into_iter().enumerate() {
             assert_eq!(
                 launch.object_classes.len(),
@@ -286,32 +298,22 @@ impl System {
                 .enumerate()
                 .map(|(oi, (_, &sz))| layout.alloc_heap(launch.object_classes[oi], sz))
                 .collect();
-            let stack_base = layout.grow_stack(launch.spec.stack_working_set.max(16 * 1024));
+            let stack_bytes = launch.spec.stack_working_set.max(16 * 1024);
+            let stack_base = layout.grow_stack(stack_bytes);
             // Program-load + instantiation order: code and stack first, then
             // the heap objects in allocation (spec) order — the order the
-            // paper's modified malloc presents them to the OS (§IV-E).
-            let mut pages = Vec::new();
-            let push_range = |base: VirtAddr, bytes: u64, pages: &mut Vec<VirtAddr>| {
-                let first = base.vpn();
-                let last = VirtAddr(base.0 + bytes.max(1) - 1).vpn();
-                for vpn in first..=last {
-                    pages.push(VirtAddr(vpn * moca_common::addr::PAGE_SIZE));
-                }
-            };
-            push_range(
-                VirtAddr(moca_vm::layout::CODE_BASE),
-                launch.spec.code_bytes,
-                &mut pages,
-            );
-            push_range(
-                stack_base,
-                launch.spec.stack_working_set.max(16 * 1024),
-                &mut pages,
-            );
-            for (base, size) in bases.iter().zip(sizes.iter()) {
-                push_range(*base, *size, &mut pages);
-            }
-            page_lists.push(pages);
+            // paper's modified malloc presents them to the OS (§IV-E). Each
+            // is kept as its inclusive vpn range, not page by page.
+            let segments = [
+                (VirtAddr(moca_vm::layout::CODE_BASE), launch.spec.code_bytes),
+                (stack_base, stack_bytes),
+            ];
+            let ranges: Vec<RangeInclusive<u64>> = segments
+                .into_iter()
+                .chain(bases.iter().copied().zip(sizes.iter().copied()))
+                .map(|(base, bytes)| base.vpn()..=VirtAddr(base.0 + bytes.max(1) - 1).vpn())
+                .collect();
+            pages.push(ranges.into_iter().flatten());
             streams.push(AppRun::new(
                 &launch.spec,
                 launch.input,
@@ -332,16 +334,12 @@ impl System {
         // page colors — fine-grained striping would alias app count against
         // the L2's page-color period and shrink its effective capacity.
         const CHUNK: usize = 32;
-        let mut idx = vec![0usize; page_lists.len()];
         loop {
             let mut progressed = false;
-            for (app, list) in page_lists.iter().enumerate() {
-                for _ in 0..CHUNK {
-                    if idx[app] < list.len() {
-                        os.prefault_traced(app, list[idx[app]], &mut tel);
-                        idx[app] += 1;
-                        progressed = true;
-                    }
+            for (app, vpns) in pages.iter_mut().enumerate() {
+                for vpn in vpns.take(CHUNK) {
+                    os.prefault_traced(app, VirtAddr(vpn * PAGE_SIZE), &mut tel);
+                    progressed = true;
                 }
             }
             if !progressed {
@@ -349,12 +347,7 @@ impl System {
             }
         }
         #[cfg(debug_assertions)]
-        os.frames()
-            .check_invariants()
-            .unwrap_or_else(|e| panic!("frame allocator invariants after startup prefault: {e}"));
-        #[cfg(debug_assertions)]
-        os.check_invariants()
-            .unwrap_or_else(|e| panic!("OS page bookkeeping after startup prefault: {e}"));
+        check_page_bookkeeping(&os, "after startup prefault");
 
         let n = cores.len();
         let channel_count = channels.len();
@@ -1077,6 +1070,11 @@ impl System {
                 self.sample_occupancy();
             }
         }
+
+        // A missed owner update anywhere in the run fails here, not only
+        // right after the prefault or a migration epoch.
+        #[cfg(debug_assertions)]
+        check_page_bookkeeping(&self.os, "at end of run");
 
         let runtime = self.now - measure_start;
         mem.runtime_cycles = runtime;

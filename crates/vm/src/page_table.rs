@@ -11,7 +11,8 @@ use moca_common::addr::{PhysAddr, VirtAddr};
 /// so the table is a dense [`RadixMap`] over the VPN rather than an ordered
 /// map: lookups are two dereferences with no comparisons, and
 /// [`PageTable::iter`] remains ascending-by-vpn exactly as with the
-/// previous `DetMap`.
+/// previous `DetMap`. Entries are 32-bit pfns, so a table addresses at
+/// most 2^32 frames (16 TiB of 4 KiB pages).
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     map: RadixMap,

@@ -1,28 +1,40 @@
-//! Heap footprint of one core's cache hierarchy.
+//! Heap footprint of the simulator's largest fixed structures.
 //!
 //! Every simulated core owns a Table I hierarchy (64 KB L1I and L1D,
 //! 512 KB 16-way L2: 10,240 ways), so its way state is most of a
-//! many-core run's heap. A counting global allocator measures the bytes
-//! `CoreHierarchy::new()` holds, and the bound fails a layout regression
-//! deterministically instead of leaving it to `peak_heap_mb`'s noise
-//! bound in the benchmark.
+//! many-core run's heap. At capacity scale 1, `System::new` prefaults
+//! every page of every object (§IV-E), so its per-page OS bookkeeping is
+//! most of a paper-sized run's heap. A counting global allocator measures
+//! the bytes each holds and the most it held at once, and the bounds fail
+//! a layout regression deterministically instead of leaving it to
+//! `peak_heap_mb`'s noise bound in the benchmark.
 
+use moca::LowPowerFirstPolicy;
+use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
+use moca_sim::system::AppLaunch;
 use moca_sim::CoreHierarchy;
+use moca_workloads::{app_by_name, multiprogram_sets, InputSet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Forwards to the system allocator and keeps each thread's live byte
-/// count, so the test harness's own threads do not disturb the reading.
+/// count and its high-water mark, so the test harness's own threads do
+/// not disturb the reading.
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn add_live(bytes: usize, sign: isize) {
     // A `Layout` size never exceeds `isize::MAX`, so the cast is exact.
     // `try_with` fails only during thread teardown, after any measurement.
-    let _ = LIVE.try_with(|live| live.set(live.get() + sign * bytes as isize));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + sign * bytes as isize;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -60,11 +72,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Heap bytes `make`'s result holds once built, and the most `make` held
+/// at once on the way.
+fn held_and_peak_bytes<T>(make: impl FnOnce() -> T) -> (T, isize, isize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let value = make();
+    let held = LIVE.with(Cell::get) - before;
+    (value, held, PEAK.with(Cell::get) - before)
+}
+
 /// Heap bytes `make`'s result holds once built.
 fn held_bytes<T>(make: impl FnOnce() -> T) -> (T, isize) {
-    let before = LIVE.with(Cell::get);
-    let value = make();
-    (value, LIVE.with(Cell::get) - before)
+    let (value, held, _) = held_and_peak_bytes(make);
+    (value, held)
 }
 
 #[test]
@@ -81,4 +102,43 @@ fn table1_hierarchy_holds_at_most_64_kib() {
         "measured {bytes} B: is the allocator counting?"
     );
     drop(hierarchy);
+}
+
+#[test]
+fn scale1_migrate_system_new_peaks_at_most_4_5_mib() {
+    // The benchmark's `scale1-migrate` machine: the 3L1B set on Heter
+    // config1 at capacity scale 1 (524,288 frames) under low-power-first
+    // placement, which prefaults about 460k pages.
+    let cfg = SystemConfig {
+        capacity_scale: 1.0,
+        ..SystemConfig::quad_core(MemSystemConfig::Heterogeneous(
+            HeterogeneousLayout::config1(),
+        ))
+    };
+    let set = multiprogram_sets()
+        .into_iter()
+        .find(|s| s.name == "3L1B")
+        .expect("3L1B set");
+    let launches = set
+        .apps
+        .iter()
+        .map(|&n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
+        .collect();
+    let (sys, held, peak) =
+        held_and_peak_bytes(|| moca_sim::System::new(cfg, launches, Box::new(LowPowerFirstPolicy)));
+    // Four page tables and the frame -> vpn owner table of 2 KiB chunks
+    // (4-byte entries) come to about 3.5 MiB; a per-page startup list or
+    // 8-byte entries would more than double the peak.
+    const BOUND: isize = 4608 * 1024;
+    assert!(
+        peak <= BOUND,
+        "System::new peaked at {peak} B ({held} B held after), over the 4.5 MiB bound"
+    );
+    let pages: usize = (0..4)
+        .map(|app| sys.os().page_table(app).mapped_pages())
+        .sum();
+    assert!(
+        pages > 400_000 && held >= pages as isize * 8,
+        "{pages} pages mapped in {held} B: is the allocator counting?"
+    );
 }

@@ -2,10 +2,12 @@
 //! table.
 //!
 //! `RadixMap` is fuzzed against a `BTreeMap<u64, u64>` reference: 100k
-//! seeded insert/remove/get operations over a 4M-frame key range (a
-//! capacity-scale-1 machine), with keys clustered around chunk boundaries
-//! and sparse keys near the top of the range, so lazily allocated chunks
-//! and the growth of the chunk index are both exercised.
+//! seeded insert/remove/get operations over the frame range of a 2 GiB
+//! machine at capacity scale 1 (524,288 frames), with keys clustered around
+//! chunk boundaries, sparse keys near the top of the range and a sparse
+//! tail above it, so lazily allocated chunks and the growth of the chunk
+//! index are both exercised. Values are drawn below the map's 32-bit
+//! absent sentinel; a wider value or the sentinel itself must panic.
 //!
 //! At the OS level, a Heter-Migrate machine (low-power-first placement
 //! plus the migration engine) runs until pages have been both moved into
@@ -22,34 +24,43 @@ use moca_vm::RadixMap;
 use moca_workloads::{app_by_name, InputSet};
 use std::collections::BTreeMap;
 
-/// Frames of a 2 GiB machine at capacity scale 1.
-const FRAMES: u64 = 4 << 20;
+/// Frames of a 2 GiB machine (Heter config1) at capacity scale 1.
+fn frames() -> u64 {
+    MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1())
+        .frame_regions(1.0)
+        .iter()
+        .map(|r| r.frames)
+        .sum()
+}
 
 /// A key drawn from a mix of shapes: a dense low range, offsets either side
-/// of chunk boundaries, uniform over the whole frame range, and a handful
-/// of sparse keys near its top.
-fn key(rng: &mut DetRng) -> u64 {
-    match rng.below(4) {
+/// of chunk boundaries, uniform over the whole frame range, a handful of
+/// sparse keys near its top, and a sparse tail up to 8× above it.
+fn key(rng: &mut DetRng, frames: u64) -> u64 {
+    match rng.below(5) {
         0 => rng.below(2048),
         1 => {
-            let boundary = 512 * rng.below(FRAMES / 512);
+            let boundary = 512 * rng.below(frames / 512);
             (boundary + rng.below(8)).saturating_sub(4)
         }
-        2 => rng.below(FRAMES),
-        _ => FRAMES - 1 - 512 * rng.below(4),
+        2 => rng.below(frames),
+        3 => frames - 1 - 512 * rng.below(4),
+        _ => frames * (1 + rng.below(8)) + rng.below(4),
     }
 }
 
 fn fuzz(seed: u64, ops: usize) {
+    let frames = frames();
+    assert_eq!(frames, 524_288, "2 GiB of 4 KiB frames");
     let mut rng = DetRng::new(seed, 0);
     let mut map = RadixMap::new();
     let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
     for op in 0..ops {
-        let k = key(&mut rng);
+        let k = key(&mut rng, frames);
         match rng.below(3) {
             0 => {
-                // Values span the packed-owner shape: app in the high half.
-                let v = (rng.below(16) << 32) | rng.below(1 << 19);
+                // Any 32-bit value but the absent sentinel.
+                let v = rng.below(u64::from(u32::MAX));
                 assert_eq!(
                     map.insert(k, v),
                     reference.insert(k, v),
@@ -83,6 +94,18 @@ fn radix_map_seed_sweep() {
     for seed in 1..=8 {
         fuzz(seed, 10_000);
     }
+}
+
+#[test]
+#[should_panic(expected = "does not fit in u32")]
+fn radix_map_rejects_values_wider_than_32_bits() {
+    RadixMap::new().insert(frames() - 1, 1 << 32);
+}
+
+#[test]
+#[should_panic(expected = "absent sentinel")]
+fn radix_map_rejects_the_absent_sentinel() {
+    RadixMap::new().insert(frames() - 1, u64::from(u32::MAX));
 }
 
 #[test]
