@@ -106,6 +106,12 @@ impl Migrator {
         now >= self.next_epoch
     }
 
+    /// Cycle of the next epoch boundary.
+    #[inline]
+    pub fn next_epoch(&self) -> Cycle {
+        self.next_epoch
+    }
+
     /// Run an epoch: promote hot pages into the fast modules. Called by the
     /// simulator at epoch boundaries.
     pub fn run_epoch(

@@ -77,30 +77,29 @@ pub struct System {
     /// (warmup instructions, then the measurement target).
     commit_target: u64,
     /// Set by `step` whenever some core first crossed `commit_target`;
-    /// the measure loop only scans for cores to freeze when it is set.
+    /// the measure loop only scans for cores to freeze when it is set, and
+    /// both run loops clear it after each step. A step that ends with it
+    /// set takes the reference loop's skip, because the run loop reads
+    /// `now` right after it.
     commit_crossed: bool,
     /// Number of cores that have fully drained (stream exhausted, ROB
     /// empty). Event skip is disabled once any core is finished, matching
     /// the drain-phase semantics of the linear scan this replaced.
     finished_count: usize,
-    /// Global next-event table over `cores.len() + channels.len()` components:
-    /// component `i < cores` is core `i`'s wake event, component
-    /// `cores + c` is channel `c`'s next-event estimate. Replaces the
-    /// per-step linear scans over all cores and channels on the
-    /// all-blocked path.
+    /// Next-event table over the cores: component `i` is core `i`'s wake
+    /// event. Replaces a per-step linear scan over all cores on the
+    /// all-blocked path; channels keep their own wake (`Channel::next_wake`).
     wheel: EventWheel,
-    /// Per-channel `state_version` at the time of the channel's last wheel
-    /// post; the skip path only re-queries `next_event_after` for channels
-    /// whose version moved.
-    chan_posted: Vec<u64>,
     /// Bitmask (one bit per core) of hierarchies that may hold deferred
     /// writebacks/store-fills; phase 2 walks set bits instead of asking
     /// every hierarchy every cycle.
     deferred_words: Vec<u64>,
-    /// Number of `step` calls so far — the cycles the machine actually
-    /// executed (event-skipped windows take no steps). With `steps_at_tick`
-    /// this tells a waking core how many stepped cycles it slept through,
-    /// which an ungated loop would have ticked it on (`Core::tick_gated`).
+    /// Cycles the reference loop steps: every executed `step`, plus the
+    /// cycles a skip jumps over where that loop would have stepped (it
+    /// steps every cycle while a channel holds a request outside a refresh
+    /// window). With `steps_at_tick` this tells a waking core how many
+    /// stepped cycles it slept through, which an ungated loop would have
+    /// ticked it on (`Core::tick_gated`).
     steps: u64,
     /// Per-core value of `steps` at the core's last pipeline tick.
     steps_at_tick: Vec<u64>,
@@ -157,6 +156,22 @@ pub struct System {
     win_busy: Vec<Cycle>,
     /// Per-channel, per-bank activate-count baseline at window start.
     win_bank_act: Vec<Vec<u64>>,
+    /// Engine work counts of the current run, published into the
+    /// telemetry registry at its end.
+    work: EngineWork,
+}
+
+/// Host work the step loop did, as opposed to the cycles it simulated.
+#[derive(Default)]
+struct EngineWork {
+    /// `step` calls executed.
+    steps: u64,
+    /// Phase-4 jumps over at least one cycle.
+    skips: u64,
+    /// Cycles those jumps passed over.
+    skipped_cycles: u64,
+    /// Channel ticks that ran (past the wake gate).
+    channel_ticks: u64,
 }
 
 pub(crate) struct Port<'a> {
@@ -369,8 +384,7 @@ impl System {
             commit_target: 0,
             commit_crossed: false,
             finished_count: 0,
-            wheel: EventWheel::new(n + channel_count),
-            chan_posted: vec![u64::MAX; channel_count],
+            wheel: EventWheel::new(n),
             deferred_words: vec![0; n.div_ceil(64)],
             steps: 0,
             steps_at_tick: vec![0; n],
@@ -392,6 +406,7 @@ impl System {
             win_l2_miss: vec![0; n],
             win_busy: vec![0; channel_count],
             win_bank_act: vec![Vec::new(); channel_count],
+            work: EngineWork::default(),
         };
         sys.rebaseline_windows();
         sys
@@ -586,6 +601,7 @@ impl System {
     fn step(&mut self, mem: &mut MemMetrics, comps: &mut Vec<Completion>, pool: Option<&StepPool>) {
         self.now += 1;
         self.steps += 1;
+        self.work.steps += 1;
         let now = self.now;
         let n = self.cores.len();
         let profile = self.tel.host_profiling();
@@ -595,12 +611,10 @@ impl System {
         // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
         let t0 = profile.then(std::time::Instant::now);
         for (ci, ch) in self.channels.iter_mut().enumerate() {
-            // Idle gating: a channel with no queued or in-flight work only
-            // needs a tick on the cycle its refresh window opens.
-            if ch.tick_is_noop(now) {
-                continue;
+            // A channel returns at once before its wake cycle.
+            if ch.tick_tel(now, comps, &mut self.tel, ci as u32) {
+                self.work.channel_ticks += 1;
             }
-            ch.tick_tel(now, comps, &mut self.tel, ci as u32);
         }
         for comp in comps.iter() {
             let ci = comp.core.0 as usize;
@@ -825,41 +839,74 @@ impl System {
         }
 
         // 4. Event skip: if every core is stalled on memory, jump to the
-        // next completion/command boundary. The wheel already holds every
-        // sleeping core's wake event; only channels whose state moved since
-        // their last post get re-queried, then one wheel pop yields the
-        // global minimum — no per-core or per-channel scan on this path.
+        // next cycle at which something can happen. The wheel holds every
+        // sleeping core's wake event and each channel keeps its own wake.
         // Skipping stays disabled while any core is drained, preserving the
         // cycle-by-cycle drain semantics of the linear scan this replaced.
         if self.finished_count == 0 && runnable_next == 0 {
-            for c in 0..self.channels.len() {
-                let v = self.channels[c].state_version();
-                if self.chan_posted[c] != v {
-                    self.chan_posted[c] = v;
-                    let e = self.channels[c].next_event_after(now).unwrap_or(Cycle::MAX);
-                    self.wheel.post(n + c, e);
-                }
-            }
-            let next = self.wheel.next_event_after(now);
-            #[cfg(debug_assertions)]
-            self.check_skip_against_scan(now, next);
-            // The drain phase terminates through these events: every blocked
-            // core waits on a channel completion (tracked by the channel
-            // next-events) or a core-local timer. Neither pending means the
-            // machine can never advance — fail loudly rather than spinning
-            // into the generic run watchdog.
-            let next = next.map_or(Cycle::MAX, |(c, _)| c);
-            assert!(next != Cycle::MAX, "{}", self.deadlock_report(now));
-            if next > now + 1 {
-                self.now = next - 1;
-            }
+            self.skip(now);
         }
     }
 
-    /// Differential check (debug builds only): the wheel's skip decision
-    /// must match the per-core/per-channel linear scan it replaced.
+    /// Phase 4 of `step`: jump `now` to just before the next cycle that
+    /// must be stepped, with results identical to the reference loop. That
+    /// loop steps every cycle while some channel holds a request outside a
+    /// refresh window, and otherwise jumps to the next core wake, read
+    /// completion or refresh end. Where it would step every cycle, the
+    /// jump goes to the first cycle at which anything can change: a core
+    /// or channel wake (an idle channel's wake is its refresh, which that
+    /// loop would have started on time), the metrics window or the next
+    /// migration epoch. The cycles in between are no-ops there, except
+    /// that they count in `steps`, so they are added to it. Where that
+    /// loop jumps, or when a core just crossed its commit target (the run
+    /// loop reads `now` next), the skip is the reference loop's own.
+    fn skip(&mut self, now: Cycle) {
+        let cores_next = self
+            .wheel
+            .next_event_after(now)
+            .map_or(Cycle::MAX, |(c, _)| c);
+        #[cfg(debug_assertions)]
+        self.check_skip_against_scan(now, cores_next);
+        let mut reference = cores_next;
+        let mut wake = cores_next;
+        for ch in &self.channels {
+            reference = reference.min(ch.reference_step_after(now));
+            wake = wake.min(ch.next_wake(now));
+        }
+        // The drain phase terminates through these events: every blocked
+        // core waits on a channel completion or a core-local timer.
+        // Neither pending means the machine can never advance — fail
+        // loudly rather than spinning into the generic run watchdog.
+        assert!(reference != Cycle::MAX, "{}", self.deadlock_report());
+        let next = if reference == now + 1 && !self.commit_crossed {
+            let window = if self.tel.enabled() {
+                self.win_next
+            } else {
+                Cycle::MAX
+            };
+            let epoch = self
+                .migrator
+                .as_ref()
+                .map_or(Cycle::MAX, Migrator::next_epoch);
+            let next = wake.min(window).min(epoch);
+            self.steps += next - now - 1;
+            next
+        } else {
+            reference
+        };
+        if next > now + 1 {
+            self.work.skips += 1;
+            self.work.skipped_cycles += next - now - 1;
+            self.now = next - 1;
+        }
+    }
+
+    /// Differential check (debug builds only): the wheel's minimum must
+    /// match a linear scan of every core's sleep state. Each channel's
+    /// cached wake is checked against a fresh computation inside
+    /// `Channel::next_wake`.
     #[cfg(debug_assertions)]
-    fn check_skip_against_scan(&self, now: Cycle, wheel_next: Option<(Cycle, usize)>) {
+    fn check_skip_against_scan(&self, now: Cycle, wheel_next: Cycle) {
         let mut next = Cycle::MAX;
         for (i, c) in self.cores.iter().enumerate() {
             match c.sleep_state(now) {
@@ -871,16 +918,10 @@ impl System {
                 Some(e) => next = next.min(e),
             }
         }
-        for ch in &self.channels {
-            if let Some(c) = ch.next_event_after(now) {
-                next = next.min(c);
-            }
-        }
-        let got = wheel_next.map_or(Cycle::MAX, |(c, _)| c);
         assert!(
-            got == next,
+            wheel_next == next,
             "event wheel diverged from the linear scan at cycle {now}: \
-             wheel says next event at {got}, scan says {next}"
+             wheel says next core event at {wheel_next}, scan says {next}"
         );
     }
 
@@ -889,8 +930,9 @@ impl System {
     /// alone. Cold failure path — called at most once per run, right before
     /// the panic aborts it.
     #[cold]
-    fn deadlock_report(&self, now: Cycle) -> String {
+    fn deadlock_report(&self) -> String {
         use std::fmt::Write as _;
+        let now = self.now;
         // moca-lint: allow(hot-alloc): deadlock failure path — builds the panic report once, then the run aborts
         let mut r = format!(
             "event-skip deadlock at cycle {now}: every core is blocked on memory \
@@ -915,10 +957,33 @@ impl System {
                 "  channel {ci}: readq {}, writeq {}, idle {}",
                 ch.read_queue_len(),
                 ch.write_queue_len(),
-                ch.next_event_after(now).is_none(),
+                ch.is_idle(),
             );
         }
         r
+    }
+
+    /// Add this run's engine work counts to the telemetry registry (when
+    /// telemetry is on) and start the next run's from zero.
+    /// `reference_steps` is the cycles the reference loop would have
+    /// stepped; its gap to `engine.steps_executed` is what exact channel
+    /// wakes save.
+    fn publish_work(&mut self, reference_steps: u64) {
+        let w = std::mem::take(&mut self.work);
+        if !self.tel.enabled() {
+            return;
+        }
+        let reg = &mut self.tel.registry;
+        for (name, v) in [
+            ("engine.steps_executed", w.steps),
+            ("engine.steps_reference", reference_steps),
+            ("engine.skips", w.skips),
+            ("engine.skipped_cycles", w.skipped_cycles),
+            ("engine.channel_ticks", w.channel_ticks),
+        ] {
+            let id = reg.counter(name);
+            reg.add(id, v);
+        }
     }
 
     /// Arm the step loop's commit-crossing detector for a new phase: every
@@ -990,6 +1055,7 @@ impl System {
     ) -> RunResult {
         assert!(instr_target > 0);
         let n = self.cores.len();
+        let steps_at_start = self.steps;
         let mut comps: Vec<Completion> = Vec::new();
         let mut mem = MemMetrics {
             per_core_read_latency: vec![0; n],
@@ -1005,6 +1071,7 @@ impl System {
             self.set_commit_target(warmup);
             while self.below_target > 0 {
                 self.step(&mut mem, &mut comps, pool);
+                self.commit_crossed = false;
                 assert!(self.now < watchdog, "warmup watchdog tripped");
             }
             self.measuring.iter_mut().for_each(|m| *m = true);
@@ -1075,6 +1142,8 @@ impl System {
         // right after the prefault or a migration epoch.
         #[cfg(debug_assertions)]
         check_page_bookkeeping(&self.os, "at end of run");
+
+        self.publish_work(self.steps - steps_at_start);
 
         let runtime = self.now - measure_start;
         mem.runtime_cycles = runtime;
@@ -1167,18 +1236,13 @@ mod tests {
             // Wait for a cycle where the core is purely memory-blocked (no
             // core-local timer: its only wake event is a DRAM completion).
             if !sys.cores[0].finished() && sys.wake_at[0] == Cycle::MAX {
-                // Lose the completions: swap in fresh, empty channels, keep
-                // `chan_posted` matching their versions so the skip path
-                // does not re-post them, and empty the wheel of any stale
-                // channel events. The core now waits on a read that will
+                // Lose the completions: swap in fresh, empty channels and
+                // empty the wheel. The core now waits on a read that will
                 // never return — a modelling bug this assert must catch.
                 for ch in &mut sys.channels {
                     *ch = Channel::new(ch.config().clone());
                 }
-                for (c, ch) in sys.channels.iter().enumerate() {
-                    sys.chan_posted[c] = ch.state_version();
-                }
-                sys.wheel = EventWheel::new(sys.cores.len() + sys.channels.len());
+                sys.wheel = EventWheel::new(sys.cores.len());
                 sys.step(&mut mem, &mut comps, None);
                 unreachable!("the deadlocked step above must panic");
             }

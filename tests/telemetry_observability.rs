@@ -201,3 +201,52 @@ fn jsonl_sink_streams_during_a_real_run() {
     }
     assert!(lines > 0, "no events streamed to the JSONL file");
 }
+
+/// The step loop's work counts (`engine.*` registry counters) for one
+/// single-core DDR3 mcf run. They are deterministic, so they are pinned:
+/// a change to how much host work the engine does per simulated cycle
+/// shows up here. `engine.steps_reference` counts the cycles the loop
+/// would step without exact DRAM wakes (every cycle while a channel holds
+/// a request outside a refresh window); executing fewer is the point.
+#[test]
+fn engine_work_counts_are_pinned_for_single_core_mcf() {
+    use moca_common::ModuleKind;
+    use moca_sim::config::SystemConfig;
+    use moca_sim::system::{AppLaunch, System};
+    use moca_telemetry::NullSink;
+    use moca_vm::policy::FirstTouchPolicy;
+    use moca_workloads::{app_by_name, InputSet};
+
+    let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
+    let launch = AppLaunch::untyped(app_by_name("mcf"), InputSet::reference());
+    let tel = Telemetry::with_sink(Box::new(NullSink));
+    let mut sys = System::new_with_telemetry(cfg, vec![launch], Box::new(FirstTouchPolicy), tel);
+    sys.run_warmed(5_000, 20_000);
+    let tel = sys.take_telemetry();
+    let count = |name: &str| {
+        tel.registry
+            .counter_value_by_name(name)
+            .unwrap_or_else(|| panic!("{name} not recorded"))
+    };
+    let got = [
+        count("engine.steps_executed"),
+        count("engine.steps_reference"),
+        count("engine.skips"),
+        count("engine.skipped_cycles"),
+        count("engine.channel_ticks"),
+    ];
+    let [executed, reference, skips, skipped, _] = got;
+    assert!(
+        executed < reference,
+        "{executed} steps executed, {reference} in the reference loop"
+    );
+    assert!(
+        skips <= skipped && reference <= executed + skipped,
+        "{got:?}"
+    );
+    assert_eq!(
+        got,
+        [14_274, 18_491, 2_727, 27_234, 5_459],
+        "[executed, reference, skips, skipped cycles, channel ticks]"
+    );
+}
