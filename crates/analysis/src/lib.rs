@@ -26,7 +26,6 @@
 //! | `hot-alloc`      | simulated-path crates          | heap allocation (`Vec::new()`, `vec![…]`, `format!`, `.to_string()`, `.to_vec()`, `Box::new()`, `.collect::<Vec<…>>`) in hot functions **and every function reachable from a cycle root** through the per-crate call graph |
 //! | `panic-in-hot`   | simulated-path crates          | `panic!`/`todo!`/`unimplemented!`/`.unwrap()`/`.expect(…)` in hot functions and their transitive callees — a data-dependent abort on the per-cycle path |
 //! | `det-taint`      | simulated-path crates          | a nondeterministic value (hash-ordered iteration, wall-clock read, ambient randomness, pointer-derived address) flowing — through returns and call arguments within a crate — into a digest/telemetry/ledger sink |
-//! | `attr-exclusive` | simulated-path crates          | two distinct CPI-stack bucket fields (`.committing += …`, `.load_miss += …`, …) incremented in the same immediate brace scope — buckets are exclusive per cycle, so charges must live in disjoint arms |
 //!
 //! Hot roots come in two tiers: **cycle roots** (`tick*`, `step`,
 //! `on_completion*`, `Channel::issue`) propagate hotness to every
@@ -93,10 +92,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "det-taint",
         "nondeterministic value flows into a digest/telemetry sink; order or seed it first",
-    ),
-    (
-        "attr-exclusive",
-        "two CPI-stack bucket increments in one brace scope; every cycle belongs to exactly one bucket",
     ),
 ];
 
@@ -272,44 +267,6 @@ pub fn hot_fn_name(line: &str) -> Option<&str> {
         }
     }
     None
-}
-
-/// CPI-stack bucket fields of `moca_telemetry::attribution::CycleBuckets`.
-/// The `attr-exclusive` rule watches `.{field} +=` increments: the buckets
-/// partition core cycles, so two different fields charged in the same
-/// immediate brace scope would double-count a cycle.
-const BUCKET_FIELDS: &[&str] = &[
-    "committing",
-    "load_miss",
-    "mshr_full",
-    "rob_full",
-    "frontend_empty",
-    "other",
-];
-
-/// Byte offsets and field names of CPI-stack bucket increments on a
-/// stripped line: `.{field}` at an identifier boundary (so
-/// `.mshr_full_cycles` does not match `mshr_full`) followed by `+=`.
-fn bucket_increments(line: &str) -> Vec<(usize, &'static str)> {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut out = Vec::new();
-    for &field in BUCKET_FIELDS {
-        let pat = format!(".{field}");
-        let mut start = 0;
-        while let Some(pos) = line[start..].find(&pat) {
-            let at = start + pos;
-            start = at + 1;
-            let after = at + pat.len();
-            if line[after..].chars().next().is_some_and(is_ident) {
-                continue; // longer identifier, e.g. `.other_field`
-            }
-            if line[after..].trim_start().starts_with("+=") {
-                out.push((at, field));
-            }
-        }
-    }
-    out.sort_unstable();
-    out
 }
 
 /// Ambient-randomness identifiers (anything not flowing through
@@ -594,51 +551,14 @@ fn scan_tokens_per_file(
     }
 }
 
-/// Stripped-line rules kept from v1 (their 3-line-window / brace-scope
-/// logic is inherently line-oriented): `narrowing-cast`, `attr-exclusive`.
+/// The stripped-line rule kept from v1 (its 3-line window is inherently
+/// line-oriented): `narrowing-cast`.
 fn scan_lines_per_file(ctx: &FileCtx, sim_path: bool, findings: &mut Vec<Finding>) {
     if !sim_path {
         return;
     }
     let code = &ctx.code;
-    // attr-exclusive state: distinct bucket fields incremented *directly* in
-    // each open brace scope (index 0 = file top level); nested scopes are
-    // separate arms and do not conflict with their parents.
-    let mut attr_scopes: Vec<Vec<&'static str>> = vec![Vec::new()];
-
     for (ln, line) in code.iter().enumerate() {
-        let incs = bucket_increments(line);
-        let mut k = 0;
-        for (i, c) in line.char_indices() {
-            while k < incs.len() && incs[k].0 <= i {
-                let field = incs[k].1;
-                k += 1;
-                let top = attr_scopes.last_mut().expect("scope stack non-empty");
-                if !top.contains(&field) {
-                    if let Some(&prev) = top.first() {
-                        ctx.push(
-                            findings,
-                            "attr-exclusive",
-                            ln,
-                            format!(
-                                "`.{field} +=` in the same brace scope as `.{prev} +=`; \
-                                 CPI-stack buckets are exclusive — every cycle belongs to \
-                                 exactly one bucket, so charges must live in disjoint arms"
-                            ),
-                        );
-                    }
-                    top.push(field);
-                }
-            }
-            match c {
-                '{' => attr_scopes.push(Vec::new()),
-                '}' if attr_scopes.len() > 1 => {
-                    attr_scopes.pop();
-                }
-                _ => {}
-            }
-        }
-
         let casts: Vec<&str> = NARROWING_CASTS
             .iter()
             .copied()

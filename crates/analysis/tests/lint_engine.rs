@@ -106,27 +106,6 @@ fn hot_alloc_rule_is_scoped_to_sim_path_crates() {
 }
 
 #[test]
-fn attr_exclusive_rule_flags_second_bucket_in_same_scope() {
-    let f = scan_fixture("cpu", "attr_exclusive.rs");
-    // Flagged: load_miss after committing in the `tick` body, `.other` after
-    // `.committing` in the `merge` body. Not flagged: a repeat of the same
-    // field, increments in disjoint if/else arms, the pragma-suppressed
-    // mshr_full, and non-bucket identifiers (`.mshr_full_cycles`,
-    // `.other_kind`, reads without `+=`).
-    assert_eq!(lines_of(&f, "attr-exclusive"), vec![4, 19]);
-    assert!(f.iter().all(|f| f.rule == "attr-exclusive"));
-}
-
-#[test]
-fn attr_exclusive_rule_is_scoped_to_sim_path_crates() {
-    let f = scan_fixture("telemetry", "attr_exclusive.rs");
-    assert!(
-        lines_of(&f, "attr-exclusive").is_empty(),
-        "attr-exclusive must not apply outside simulated-path crates"
-    );
-}
-
-#[test]
 fn hot_fn_detection_respects_identifier_boundaries() {
     use moca_lint::hot_fn_name;
     assert_eq!(hot_fn_name("pub fn tick(&mut self) {"), Some("tick"));

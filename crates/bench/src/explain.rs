@@ -265,17 +265,16 @@ fn core_explain(
     top: usize,
     check_placement: bool,
 ) -> CoreExplain {
-    let attr = cr
+    let ledger = cr
         .attr
         .as_ref()
         .expect("explain runs always enable attribution");
     let registry = NameRegistry::for_app(&moca_workloads::app_by_name(&classified.app));
-    let load_miss = attr.buckets.load_miss.max(1);
+    let load_miss = cr.stats.head_stall_cycles.max(1);
 
     // Every object with any attributed stall, ranked by stall descending
     // (ties toward the lower id — the instantiation order).
-    let mut ranked: Vec<(u32, TagAttr)> = attr
-        .tags
+    let mut ranked: Vec<(u32, TagAttr)> = ledger
         .iter_objects()
         .filter(|(_, t)| t.total_stall() > 0 || t.mshr_full_cycles > 0)
         .map(|(id, t)| (id.0, t.clone()))
@@ -346,7 +345,7 @@ fn core_explain(
     .map(|&s| {
         (
             format!("{s:?}").to_lowercase(),
-            attr.tags.segment(s).total_stall(),
+            ledger.segment(s).total_stall(),
         )
     })
     .collect();
@@ -357,8 +356,8 @@ fn core_explain(
         committed: cr.stats.committed,
         cycles: cr.stats.cycles,
         ipc: cr.stats.ipc(),
-        buckets: attr.buckets,
-        tiers: tier_stacks(&attr.tags.segment(moca_common::Segment::Heap)),
+        buckets: cr.stats.cpi_stack(),
+        tiers: tier_stacks(&ledger.segment(moca_common::Segment::Heap)),
         segments,
         objects,
         objects_omitted,

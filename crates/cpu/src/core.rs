@@ -4,7 +4,7 @@ use crate::instr::{Instr, InstrStream};
 use crate::stats::CoreStats;
 use moca_common::ids::MemTag;
 use moca_common::{CoreId, Cycle, Segment, VirtAddr};
-use moca_telemetry::attribution::{AttrSnapshot, CoreAttr, Mechanism};
+use moca_telemetry::attribution::{AttrTagTable, Bucket, CoreAttr, Mechanism};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::num::NonZeroU64;
@@ -140,9 +140,42 @@ pub struct Core {
     /// Cycle of the previous `tick` call, for event-skip-aware accounting.
     last_tick: Cycle,
     stats: CoreStats,
-    /// CPI-stack attribution state; `None` (the default) costs one branch
-    /// per tick and changes nothing else — runs are bit-identical.
+    /// Per-object stall ledger; `None` (the default) skips the ledger
+    /// charges and changes nothing else — runs are bit-identical.
     attr: Option<Box<CoreAttr>>,
+}
+
+/// What one cycle, or one slept window, looked like to [`classify`].
+#[derive(Debug, Clone, Copy)]
+struct CycleView {
+    /// The ROB head is an LLC-missing load that held commit back.
+    head_miss: bool,
+    /// Issue stopped on a full MSHR file with the head load unissued.
+    mshr_blocked: bool,
+    /// At least one instruction committed.
+    committed: bool,
+    /// Occupied ROB entries.
+    rob_len: usize,
+}
+
+/// The CPI-stack bucket of one cycle, by the fixed priority of DESIGN.md
+/// §10: load-miss > MSHR-full > committing > frontend-empty > ROB-full >
+/// other. A slept window is one view on which nothing committed and no
+/// load retried.
+fn classify(v: CycleView, rob_entries: usize) -> Bucket {
+    if v.head_miss {
+        Bucket::LoadMiss
+    } else if v.mshr_blocked {
+        Bucket::MshrFull
+    } else if v.committed {
+        Bucket::Committing
+    } else if v.rob_len == 0 {
+        Bucket::FrontendEmpty
+    } else if v.rob_len >= rob_entries {
+        Bucket::RobFull
+    } else {
+        Bucket::Other
+    }
 }
 
 impl Core {
@@ -177,23 +210,18 @@ impl Core {
         &self.stats
     }
 
-    /// Turn on CPI-stack attribution. Purely observational: the attributed
-    /// buckets are computed from state the tick already inspects, so the
-    /// simulated cycles are identical with or without it.
+    /// Turn on the per-object stall ledger. Purely observational: it is
+    /// charged from the same classification that feeds the always-on CPI
+    /// stack, so the simulated cycles are identical with or without it.
     pub fn enable_attribution(&mut self) {
         if self.attr.is_none() {
             self.attr = Some(Box::new(CoreAttr::new()));
         }
     }
 
-    /// Current attribution state, if enabled.
-    pub fn attr(&self) -> Option<&CoreAttr> {
-        self.attr.as_deref()
-    }
-
-    /// Frozen attribution snapshot (pending stalls folded into the
+    /// Frozen per-object ledger (pending stalls folded into the
     /// `unresolved` tier), if attribution is enabled.
-    pub fn attr_snapshot(&self) -> Option<AttrSnapshot> {
+    pub fn attr_snapshot(&self) -> Option<AttrTagTable> {
         self.attr.as_deref().map(CoreAttr::snapshot)
     }
 
@@ -475,18 +503,53 @@ impl Core {
         }
     }
 
-    /// Ticket of the outstanding (or just-completed) load at ROB sequence
-    /// `seq`, for attribution accrual.
-    fn ticket_of_seq(&self, seq: u64) -> Option<u64> {
-        self.tickets
+    /// Charge `cycles` spent behind the current ROB head to `bucket`: the
+    /// only place a CPI-stack bucket or a head-stall counter grows.
+    /// Load-miss cycles also go to the head's tag.
+    #[inline]
+    fn charge(&mut self, bucket: Bucket, cycles: u64) {
+        let s = &mut self.stats;
+        match bucket {
+            Bucket::Committing => s.cpi_committing += cycles,
+            Bucket::LoadMiss => {
+                s.head_stall_cycles += cycles;
+                if let Some(tag) = self.rob.front().and_then(|h| h.tag) {
+                    s.tags.get_mut(tag).rob_head_stall_cycles += cycles;
+                }
+            }
+            Bucket::MshrFull => s.cpi_mshr_full += cycles,
+            Bucket::FrontendEmpty => s.cpi_frontend_empty += cycles,
+            Bucket::RobFull => s.cpi_rob_full += cycles,
+            Bucket::Other => s.cpi_other += cycles,
+        }
+        if self.attr.is_some() && matches!(bucket, Bucket::LoadMiss | Bucket::MshrFull) {
+            self.charge_ledger(bucket, cycles);
+        }
+    }
+
+    /// The per-object ledger's share of a [`Core::charge`] (attribution
+    /// on): load-miss cycles accrue against the head load's ticket
+    /// (outstanding, or completed this cycle), MSHR-full cycles against
+    /// its tag.
+    #[cold]
+    fn charge_ledger(&mut self, bucket: Bucket, cycles: u64) {
+        let head = self.rob.front().and_then(|h| Some((h.seq, h.tag?)));
+        let (Some(a), Some((seq, tag))) = (self.attr.as_deref_mut(), head) else {
+            return;
+        };
+        if bucket == Bucket::MshrFull {
+            a.tags.get_mut(tag).mshr_full_cycles += cycles;
+            return;
+        }
+        let ticket = self
+            .tickets
             .iter()
             .find(|&&(_, s)| s == seq)
             .map(|&(t, _)| t)
-            .or_else(|| {
-                self.attr
-                    .as_deref()
-                    .and_then(|a| a.completed_ticket_of(seq))
-            })
+            .or_else(|| a.completed_ticket_of(seq));
+        if let Some(ticket) = ticket {
+            a.charge_load_miss(ticket, tag, cycles);
+        }
     }
 
     /// Advance to cycle `now`: commit, account head stalls, issue waiting
@@ -516,11 +579,10 @@ impl Core {
         let elapsed = now.saturating_sub(self.last_tick).max(1);
         self.last_tick = now;
         self.stats.cycles += elapsed;
-        // Cycles skipped since the last tick were spent blocked; if the ROB
-        // head was an incomplete LLC-missing load over that window (the only
-        // state that triggers a skip), attribute the skipped stall cycles.
+        // Cycles skipped since the last tick were spent blocked in the
+        // state the ROB still holds (pre-commit): one classification
+        // covers the whole window.
         if elapsed > 1 {
-            let stalled = elapsed - 1;
             // Cycles on which the machine stepped while this core slept:
             // the dispatch stage would have entered (blocked-untils passed,
             // no fetch in flight) and charged its ROB-full counter before
@@ -535,38 +597,13 @@ impl Core {
             {
                 self.stats.rob_full_cycles += skipped_live;
             }
-            let head = self.rob.front().copied();
-            let head_miss = head.is_some_and(|h| h.is_load && h.llc_miss);
-            if head_miss {
-                self.stats.head_stall_cycles += stalled;
-                if let Some(tag) = head.and_then(|h| h.tag) {
-                    self.stats.tags.get_mut(tag).rob_head_stall_cycles += stalled;
-                }
-            }
-            if self.attr.is_some() {
-                // Classify the skipped window under the same exclusivity
-                // rule as a live cycle (pre-commit head state).
-                let pending = head.and_then(|h| {
-                    h.tag
-                        .and_then(|tag| self.ticket_of_seq(h.seq).map(|t| (t, tag)))
-                });
-                let rob_empty = self.rob.is_empty();
-                let rob_full = self.rob.len() >= self.cfg.rob_entries;
-                if let Some(attr) = self.attr.as_deref_mut() {
-                    if head_miss {
-                        attr.buckets.load_miss += stalled;
-                        if let Some((ticket, tag)) = pending {
-                            attr.charge_load_miss(ticket, tag, stalled);
-                        }
-                    } else if rob_empty {
-                        attr.buckets.frontend_empty += stalled;
-                    } else if rob_full {
-                        attr.buckets.rob_full += stalled;
-                    } else {
-                        attr.buckets.other += stalled;
-                    }
-                }
-            }
+            let window = CycleView {
+                head_miss: self.rob.front().is_some_and(|h| h.is_load && h.llc_miss),
+                mshr_blocked: false,
+                committed: false,
+                rob_len: self.rob.len(),
+            };
+            self.charge(classify(window, self.cfg.rob_entries), elapsed - 1);
         }
 
         // ---- Commit stage ----
@@ -586,32 +623,13 @@ impl Core {
             self.stats.committed += 1;
             committed_this_cycle += 1;
         }
-        // ROB-head stall accounting: blocked on an incomplete missing load.
-        let mut charged_head = None;
-        if committed_this_cycle < self.cfg.width {
-            if let Some(h) = self.rob.front() {
-                if h.is_load && h.llc_miss && !(h.done && h.ready_at <= now) {
-                    self.stats.head_stall_cycles += 1;
-                    if let Some(tag) = h.tag {
-                        self.stats.tags.get_mut(tag).rob_head_stall_cycles += 1;
-                    }
-                    charged_head = Some(*h);
-                }
-            }
-        }
-        let charged_load_miss = charged_head.is_some();
-        if let Some(h) = charged_head {
-            // ticket_of_seq consults the attribution state, so this is a
-            // no-op on unattributed runs.
-            if let Some((ticket, tag)) = h
-                .tag
-                .and_then(|tag| self.ticket_of_seq(h.seq).map(|t| (t, tag)))
-            {
-                if let Some(attr) = self.attr.as_deref_mut() {
-                    attr.charge_load_miss(ticket, tag, 1);
-                }
-            }
-        }
+        // ROB-head stall: commit stopped at an incomplete missing load.
+        // Judged before the issue stage, which may issue the head.
+        let head_miss = committed_this_cycle < self.cfg.width
+            && self
+                .rob
+                .front()
+                .is_some_and(|h| h.is_load && h.llc_miss && !(h.done && h.ready_at <= now));
 
         // ---- Issue stage: waiting loads whose dependencies resolved ----
         // Skipped outright while no cached dependence wake cycle has
@@ -668,40 +686,24 @@ impl Core {
             self.min_dep_ready = self.scan_min_dep_ready();
         }
 
-        // ---- Cycle attribution: exactly one bucket per cycle ----
-        // Priority (DESIGN.md §10): the load-miss head stall charged above,
-        // then MSHR-full back-pressure on an unissued head load, then a
-        // productive (committing) cycle, then ROB-full / frontend-empty,
-        // else the residual bucket. The skipped-window cycles were already
-        // classified at the top of the tick, so the buckets sum to
-        // `stats.cycles` exactly.
-        if self.attr.is_some() {
-            let head = self.rob.front().copied();
+        // ---- CPI stack: this cycle lands in exactly one bucket ----
+        // The skipped window was charged at the top of the tick, so the
+        // buckets sum to `stats.cycles` exactly.
+        let cycle = CycleView {
+            head_miss,
             // An issued head load is either done (hit) or llc_miss
             // (pending), so "unissued" is the remaining load state.
-            let unissued_head = head.is_some_and(|h| h.is_load && !h.done && !h.llc_miss);
-            let rob_empty = self.rob.is_empty();
-            let rob_full = self.rob.len() >= self.cfg.rob_entries;
-            let mshr_tag = head.and_then(|h| h.tag);
-            if let Some(attr) = self.attr.as_deref_mut() {
-                if charged_load_miss {
-                    attr.buckets.load_miss += 1;
-                } else if mshr_retry && unissued_head {
-                    attr.buckets.mshr_full += 1;
-                    if let Some(tag) = mshr_tag {
-                        attr.tags.get_mut(tag).mshr_full_cycles += 1;
-                    }
-                } else if committed_this_cycle > 0 {
-                    attr.buckets.committing += 1;
-                } else if rob_empty {
-                    attr.buckets.frontend_empty += 1;
-                } else if rob_full {
-                    attr.buckets.rob_full += 1;
-                } else {
-                    attr.buckets.other += 1;
-                }
-                attr.end_tick();
-            }
+            mshr_blocked: mshr_retry
+                && self
+                    .rob
+                    .front()
+                    .is_some_and(|h| h.is_load && !h.done && !h.llc_miss),
+            committed: committed_this_cycle > 0,
+            rob_len: self.rob.len(),
+        };
+        self.charge(classify(cycle, self.cfg.rob_entries), 1);
+        if let Some(attr) = self.attr.as_deref_mut() {
+            attr.end_tick();
         }
 
         // ---- Dispatch stage ----
@@ -1124,25 +1126,79 @@ mod tests {
     }
 
     #[test]
+    fn classifier_priority_edges() {
+        use Bucket::*;
+        let v = |head_miss, mshr_blocked, committed, rob_len| CycleView {
+            head_miss,
+            mshr_blocked,
+            committed,
+            rob_len,
+        };
+        let full = CoreConfig::default().rob_entries;
+        for (view, want, why) in [
+            (
+                v(true, true, true, full),
+                LoadMiss,
+                "a missing head beats all",
+            ),
+            (
+                v(true, false, true, 5),
+                LoadMiss,
+                "a missing head beats committing",
+            ),
+            (
+                v(false, true, true, 5),
+                MshrFull,
+                "MSHR retry beats committing",
+            ),
+            (
+                v(false, true, false, full),
+                MshrFull,
+                "MSHR retry beats ROB-full",
+            ),
+            (
+                v(false, false, true, full),
+                Committing,
+                "committing beats ROB-full",
+            ),
+            (
+                v(false, false, true, 0),
+                Committing,
+                "committing beats empty",
+            ),
+            (v(false, false, false, 0), FrontendEmpty, "empty ROB"),
+            (v(false, false, false, full), RobFull, "full ROB"),
+            (
+                v(false, false, false, full + 1),
+                RobFull,
+                "over-full is full",
+            ),
+            (v(false, false, false, 5), Other, "residual"),
+        ] {
+            assert_eq!(classify(view, full), want, "{why}: {view:?}");
+        }
+    }
+
+    #[test]
     fn attribution_buckets_sum_to_cycles() {
-        // With attribution on, every cycle lands in exactly one bucket and
-        // the load-miss bucket reproduces head_stall_cycles exactly.
+        // Every cycle lands in exactly one bucket, and with attribution on
+        // the object ledger reproduces the per-tag head stall exactly.
         let mut core = Core::new(CoreId(0), CoreConfig::default());
         core.enable_attribution();
         let mut port = FakePort::new(60);
         port.max_inflight = 4; // force MSHR-full retries too
         let mut s = loads(48, false).into_iter();
         run(&mut core, &mut port, &mut s, 1_000_000);
-        let snap = core.attr_snapshot().expect("attribution enabled");
-        assert_eq!(snap.buckets.total(), core.stats().cycles);
-        assert_eq!(snap.buckets.load_miss, core.stats().head_stall_cycles);
-        assert!(snap.buckets.committing > 0);
-        // Per-object attribution reconciles with the classifier input.
+        let stack = core.stats().cpi_stack();
+        assert_eq!(stack.total(), core.stats().cycles);
+        assert!(stack.load_miss > 0 && stack.committing > 0);
+        let ledger = core.attr_snapshot().expect("attribution enabled");
         let o0 = core.stats().tags.object(ObjectId(0));
         assert_eq!(
-            snap.tags.object(ObjectId(0)).total_stall(),
+            ledger.object(ObjectId(0)).total_stall(),
             o0.rob_head_stall_cycles
         );
+        assert_eq!(ledger.total_stall(), stack.load_miss);
     }
 
     #[test]
@@ -1182,12 +1238,15 @@ mod tests {
             core.tick(now, &mut port, &mut s);
         }
         assert!(core.finished());
-        let snap = core.attr_snapshot().unwrap();
-        assert!(snap.buckets.mshr_full > 30, "{:?}", snap.buckets);
-        assert_eq!(snap.buckets.total(), core.stats().cycles);
+        let stack = core.stats().cpi_stack();
+        assert!(stack.mshr_full > 30, "{stack:?}");
+        assert_eq!(stack.total(), core.stats().cycles);
         assert_eq!(
-            snap.tags.object(ObjectId(0)).mshr_full_cycles,
-            snap.buckets.mshr_full
+            core.attr_snapshot()
+                .unwrap()
+                .object(ObjectId(0))
+                .mshr_full_cycles,
+            stack.mshr_full
         );
     }
 
@@ -1204,7 +1263,7 @@ mod tests {
             (
                 core.stats().cycles,
                 core.stats().committed,
-                core.stats().head_stall_cycles,
+                core.stats().cpi_stack(),
             )
         };
         assert_eq!(run_once(false), run_once(true));

@@ -3,6 +3,7 @@
 
 use moca_common::ids::MemTag;
 use moca_common::{ObjectId, Segment};
+use moca_telemetry::attribution::CycleBuckets;
 use serde::{Deserialize, Serialize};
 
 /// Counters attributed to one memory object or segment.
@@ -98,6 +99,15 @@ impl TagTable {
         }
     }
 
+    /// Counters summed over every heap object and segment.
+    pub fn total(&self) -> TagStats {
+        let mut total = self.segment(Segment::Heap);
+        for seg in [Segment::Code, Segment::Data, Segment::Stack] {
+            total.merge(&self.segment(seg));
+        }
+        total
+    }
+
     /// Number of heap object slots.
     pub fn objects(&self) -> usize {
         self.heap.len()
@@ -132,8 +142,20 @@ pub struct CoreStats {
     pub committed: u64,
     /// Cycles the core has been ticked.
     pub cycles: u64,
-    /// Total ROB-head stall cycles on LLC-missing loads.
+    /// Total ROB-head stall cycles on LLC-missing loads: the CPI stack's
+    /// `load_miss` bucket. It and the five `cpi_*` buckets below split
+    /// `cycles` exactly (see [`CoreStats::cpi_stack`]).
     pub head_stall_cycles: u64,
+    /// CPI-stack bucket: cycles that committed.
+    pub cpi_committing: u64,
+    /// CPI-stack bucket: cycles an unissued head load met a full MSHR file.
+    pub cpi_mshr_full: u64,
+    /// CPI-stack bucket: cycles with nothing committed and a full ROB.
+    pub cpi_rob_full: u64,
+    /// CPI-stack bucket: cycles with an empty ROB.
+    pub cpi_frontend_empty: u64,
+    /// CPI-stack bucket: every other cycle.
+    pub cpi_other: u64,
     /// Loads issued.
     pub loads: u64,
     /// Stores issued.
@@ -149,6 +171,18 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// The exclusive CPI stack; its buckets sum to `cycles`.
+    pub fn cpi_stack(&self) -> CycleBuckets {
+        CycleBuckets {
+            committing: self.cpi_committing,
+            load_miss: self.head_stall_cycles,
+            mshr_full: self.cpi_mshr_full,
+            rob_full: self.cpi_rob_full,
+            frontend_empty: self.cpi_frontend_empty,
+            other: self.cpi_other,
+        }
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         moca_common::stats::safe_div(self.committed as f64, self.cycles as f64)
@@ -156,31 +190,12 @@ impl CoreStats {
 
     /// Whole-application LLC MPKI (all tags).
     pub fn app_mpki(&self) -> f64 {
-        let total: u64 = self
-            .tags
-            .iter_objects()
-            .map(|(_, s)| s.llc_misses)
-            .sum::<u64>()
-            + self.tags.segment(Segment::Code).llc_misses
-            + self.tags.segment(Segment::Data).llc_misses
-            + self.tags.segment(Segment::Stack).llc_misses;
-        moca_common::stats::safe_div(total as f64 * 1000.0, self.committed as f64)
+        self.tags.total().mpki(self.committed)
     }
 
     /// Whole-application ROB-head stall cycles per missing load.
     pub fn app_stall_per_miss(&self) -> f64 {
-        let mut stalls = 0u64;
-        let mut miss_loads = 0u64;
-        for (_, s) in self.tags.iter_objects() {
-            stalls += s.rob_head_stall_cycles;
-            miss_loads += s.miss_loads;
-        }
-        for seg in [Segment::Code, Segment::Data, Segment::Stack] {
-            let s = self.tags.segment(seg);
-            stalls += s.rob_head_stall_cycles;
-            miss_loads += s.miss_loads;
-        }
-        moca_common::stats::safe_div(stalls as f64, miss_loads as f64)
+        self.tags.total().stall_per_miss()
     }
 }
 

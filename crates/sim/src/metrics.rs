@@ -97,9 +97,9 @@ pub struct CoreResult {
     pub stats: CoreStats,
     /// Cycle at which the core hit its instruction target.
     pub finished_at: Cycle,
-    /// Cycle-attribution snapshot (CPI stack + per-object stall ledger),
-    /// present only when the run had attribution enabled.
-    pub attr: Option<moca_telemetry::attribution::AttrSnapshot>,
+    /// Per-object stall ledger frozen with `stats`, present only when the
+    /// run had attribution enabled (the CPI stack is `stats.cpi_stack()`).
+    pub attr: Option<moca_telemetry::attribution::AttrTagTable>,
 }
 
 impl CoreResult {

@@ -11,7 +11,7 @@ use moca_common::wheel::EventWheel;
 use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr, PAGE_SIZE};
 use moca_cpu::{Core, MemPort, MemReply, StoreReply};
 use moca_dram::{AddressMapper, Channel, Completion};
-use moca_telemetry::attribution::{tier_index, AttrSnapshot, Mechanism, OccupancySample};
+use moca_telemetry::attribution::{tier_index, AttrTagTable, Mechanism, OccupancySample};
 use moca_telemetry::{Event, Telemetry, WindowSnapshot};
 use moca_vm::layout::HeapLayout;
 use moca_vm::{FrameSpace, PagePlacementPolicy};
@@ -126,8 +126,8 @@ pub struct System {
     /// completion path runs once per off-chip read; keeping the buffer on
     /// the system makes the step loop allocation-free).
     woken_buf: Vec<u64>,
-    /// Cycle attribution enabled (CPI stacks + per-object stall ledgers on
-    /// every core). Off by default; purely observational either way.
+    /// Per-object stall ledgers enabled on every core. Off by default;
+    /// purely observational either way.
     attr_enabled: bool,
     /// Reusable buffer of `(core, ticket, tier, mechanism)` resolutions
     /// collected while delivering DRAM completions. Applied to the cores
@@ -244,6 +244,18 @@ fn check_page_bookkeeping(os: &Os, when: &str) {
         .unwrap_or_else(|e| panic!("frame allocator invariants {when}: {e}"));
     os.check_invariants()
         .unwrap_or_else(|e| panic!("OS page bookkeeping {when}: {e}"));
+}
+
+/// Debug-build conservation check: a core's CPI stack splits its cycles
+/// exactly.
+#[cfg(debug_assertions)]
+fn check_cpi_stack(core: usize, stats: &moca_cpu::CoreStats, when: &str) {
+    let stack = stats.cpi_stack();
+    assert_eq!(
+        stack.total(),
+        stats.cycles,
+        "core {core} CPI stack {stack:?} does not sum to its cycles {when}"
+    );
 }
 
 impl System {
@@ -510,10 +522,11 @@ impl System {
         };
     }
 
-    /// Enable per-core cycle attribution (CPI stacks, per-object stall
-    /// ledgers, occupancy timeline). Call before `run`. Attribution is
-    /// strictly observational: the simulated machine never reads any of it,
-    /// so an attributed run is bit-identical to an unattributed one.
+    /// Enable per-core cycle attribution (per-object stall ledgers and the
+    /// occupancy timeline; the CPI stack is always on). Call before `run`.
+    /// Attribution is strictly observational: the simulated machine never
+    /// reads any of it, so an attributed run is bit-identical to an
+    /// unattributed one.
     pub fn enable_attribution(&mut self) {
         self.attr_enabled = true;
         for c in &mut self.cores {
@@ -1093,7 +1106,7 @@ impl System {
         let measure_start = self.now;
         self.sample_occupancy();
 
-        type FrozenCore = (moca_cpu::CoreStats, Cycle, Option<AttrSnapshot>);
+        type FrozenCore = (moca_cpu::CoreStats, Cycle, Option<AttrTagTable>);
         self.set_commit_target(instr_target);
         let mut frozen: Vec<Option<FrozenCore>> = vec![None; n];
         let mut remaining = n;
@@ -1110,6 +1123,8 @@ impl System {
             let mut newly_frozen = false;
             for (i, slot) in frozen.iter_mut().enumerate() {
                 if slot.is_none() && self.cores[i].committed() >= instr_target {
+                    #[cfg(debug_assertions)]
+                    check_cpi_stack(i, self.cores[i].stats(), "at its freeze");
                     *slot = Some((
                         self.cores[i].stats().clone(),
                         self.now - measure_start,
@@ -1141,7 +1156,12 @@ impl System {
         // A missed owner update anywhere in the run fails here, not only
         // right after the prefault or a migration epoch.
         #[cfg(debug_assertions)]
-        check_page_bookkeeping(&self.os, "at end of run");
+        {
+            check_page_bookkeeping(&self.os, "at end of run");
+            for (i, c) in self.cores.iter().enumerate() {
+                check_cpi_stack(i, c.stats(), "at end of run");
+            }
+        }
 
         self.publish_work(self.steps - steps_at_start);
 

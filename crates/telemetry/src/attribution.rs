@@ -1,17 +1,19 @@
-//! Top-down CPI-stack attribution: splits every core cycle into exclusive
-//! buckets and charges memory-stall cycles to the named object owning the
-//! faulting address, split by serving tier and stall mechanism.
+//! Top-down CPI-stack taxonomy and the opt-in per-object stall ledger.
 //!
-//! The accountant is *observational*: the core classifies each cycle it
-//! already simulates, so enabling attribution never changes simulated
-//! behaviour (the golden digests stay bit-identical either way).
+//! Every core cycle lands in exactly one of six exclusive [`Bucket`]s. The
+//! core classifies each live cycle and each slept window once, by a fixed
+//! priority (DESIGN.md §10): load-miss head stall first (the ROB head is an
+//! incomplete LLC-missing load — the condition behind the classifier's
+//! `stall_per_miss` inputs), then MSHR-full back-pressure on an unissued
+//! head load, then committing, frontend-empty, ROB-full, and a residual
+//! `other`. The counts live in the core's always-on `CoreStats`, whose
+//! `cpi_stack()` assembles a [`CycleBuckets`] summing exactly to `cycles`.
 //!
-//! Exclusivity rule (DESIGN.md §10): each cycle lands in exactly one
-//! bucket, decided by a fixed priority — load-miss head stall first (the
-//! exact condition that already increments `head_stall_cycles`, so the
-//! bucket reconciles with the classifier's `stall_per_miss` inputs), then
-//! MSHR-full back-pressure, then committing, ROB-full, frontend-empty, and
-//! a residual `other`. The buckets therefore sum exactly to `cycles`.
+//! With attribution enabled, a [`CoreAttr`] ledger also charges load-miss
+//! cycles to the named object owning the faulting address, split by serving
+//! tier and stall mechanism. The ledger is *observational*: nothing in the
+//! core reads it back, so enabling it never changes simulated behaviour
+//! (the golden digests stay bit-identical either way).
 //!
 //! Tier and mechanism of a load-miss stall are only known when the DRAM
 //! completion arrives, so cycles accrue against the load's *ticket* in a
@@ -120,15 +122,32 @@ impl Mechanism {
     }
 }
 
+/// One exclusive CPI-stack bucket, in classification priority order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bucket {
+    /// See [`CycleBuckets::load_miss`].
+    LoadMiss,
+    /// See [`CycleBuckets::mshr_full`].
+    MshrFull,
+    /// See [`CycleBuckets::committing`].
+    Committing,
+    /// See [`CycleBuckets::frontend_empty`].
+    FrontendEmpty,
+    /// See [`CycleBuckets::rob_full`].
+    RobFull,
+    /// See [`CycleBuckets::other`].
+    Other,
+}
+
 /// The exclusive top-level CPI-stack buckets. Invariant: the six fields
 /// sum exactly to the core's `cycles` counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CycleBuckets {
-    /// At least one instruction committed and the head was not a blocked
-    /// LLC-missing load.
+    /// At least one instruction committed, and neither a load-miss head
+    /// stall nor MSHR-full back-pressure held the cycle.
     pub committing: u64,
-    /// The ROB head was an incomplete LLC-missing load (the exact
-    /// condition of `head_stall_cycles`).
+    /// The ROB head was an incomplete LLC-missing load (the core keeps
+    /// this bucket as `CoreStats::head_stall_cycles`).
     pub load_miss: u64,
     /// The head was an unissued load and issue stopped on a full MSHR
     /// file this cycle.
@@ -324,25 +343,12 @@ struct PendingStall {
     cycles: u64,
 }
 
-/// Frozen, serializable attribution for one core: the exclusive cycle
-/// buckets plus the per-tag `[tier][mechanism]` stall table with every
-/// pending accrual folded into the `unresolved` tier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AttrSnapshot {
-    /// Exclusive top-level buckets (sum == core cycles).
-    pub buckets: CycleBuckets,
-    /// Per-tag stall attribution.
-    pub tags: AttrTagTable,
-}
-
 /// Working attribution state owned by one core. All methods are
 /// allocation-light and safe to call from the core's tick path; the state
 /// is strictly write-only with respect to the simulation (nothing in the
 /// core reads it back to make decisions).
 #[derive(Debug, Clone, Default)]
 pub struct CoreAttr {
-    /// Exclusive top-level buckets.
-    pub buckets: CycleBuckets,
     /// Resolved per-tag stall attribution.
     pub tags: AttrTagTable,
     pending: Vec<PendingStall>,
@@ -405,23 +411,20 @@ impl CoreAttr {
         self.pending.iter().map(|p| p.cycles).sum()
     }
 
-    /// Frozen snapshot: pending accruals fold into the `unresolved` tier
-    /// so per-tag totals reconcile exactly with `rob_head_stall_cycles`.
-    pub fn snapshot(&self) -> AttrSnapshot {
+    /// Frozen per-tag ledger: pending accruals fold into the `unresolved`
+    /// tier so per-tag totals reconcile exactly with
+    /// `rob_head_stall_cycles`.
+    pub fn snapshot(&self) -> AttrTagTable {
         let mut tags = self.tags.clone();
         for p in &self.pending {
             tags.get_mut(p.tag)
                 .add(TIER_UNRESOLVED, Mechanism::Unresolved, p.cycles);
         }
-        AttrSnapshot {
-            buckets: self.buckets,
-            tags,
-        }
+        tags
     }
 
     /// Zero every counter (used when warmup stats are discarded).
     pub fn reset(&mut self) {
-        self.buckets = CycleBuckets::default();
         self.tags = AttrTagTable::default();
         self.pending.clear();
         self.completed.clear();
@@ -511,7 +514,7 @@ mod tests {
         a.resolve(1, 0, Mechanism::Service);
         a.charge_load_miss(2, heap(2), 6);
         let snap = a.snapshot();
-        let t = snap.tags.object(ObjectId(2));
+        let t = snap.object(ObjectId(2));
         assert_eq!(t.total_stall(), 10);
         assert_eq!(t.get(TIER_UNRESOLVED, Mechanism::Unresolved), 6);
         // The working state is untouched: pending still pending.

@@ -24,7 +24,7 @@ mod sink;
 mod trace;
 
 pub use attribution::{
-    tier_index, tier_name, AttrSnapshot, AttrTagTable, CoreAttr, CycleBuckets, Mechanism,
+    tier_index, tier_name, AttrTagTable, Bucket, CoreAttr, CycleBuckets, Mechanism,
     OccupancySample, TagAttr, MECH_COUNT, TIER_COUNT, TIER_UNRESOLVED,
 };
 pub use event::{Event, EventIntent, TimedEvent};

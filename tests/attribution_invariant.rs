@@ -1,6 +1,6 @@
-//! Attribution invariant gate: the CPI-stack accountant must *partition*
-//! core cycles and *reconcile* with the classifier's inputs on every
-//! memory system the simulator can describe.
+//! Attribution invariant gate: the CPI stack must *partition* core cycles
+//! and the object ledger must *reconcile* with the classifier's inputs on
+//! every memory system the simulator can describe.
 //!
 //! Mirrors the golden-digest workload (quad-core mcf/lbm/gcc/sift, 12k
 //! instructions per core, first-touch placement, all seven memory systems)
@@ -17,7 +17,7 @@
 //!    table (the numerator of §III-A's stall-per-miss input), and the
 //!    whole ledger sums back to the `load_miss` bucket.
 //! 4. **Observer effect: none** — the same run with attribution disabled
-//!    produces identical cycles, commits, and stall counters.
+//!    produces identical cycles, commits, stall counters and CPI stacks.
 
 use moca_common::{ModuleKind, Segment};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
@@ -79,7 +79,7 @@ fn buckets_partition_cycles_and_ledger_reconciles_on_all_seven_configs() {
                 .attr
                 .as_ref()
                 .unwrap_or_else(|| panic!("{name} core {ci}: no attribution snapshot"));
-            let b = &attr.buckets;
+            let b = &core.stats.cpi_stack();
 
             // 1. Exclusive buckets partition the cycle count exactly.
             assert_eq!(
@@ -109,7 +109,7 @@ fn buckets_partition_cycles_and_ledger_reconciles_on_all_seven_configs() {
             // rob_head_stall_cycles the offline classifier divides by
             // misses to get stall-per-miss.
             let mut ledger_total = 0u64;
-            for (id, tag_attr) in attr.tags.iter_objects() {
+            for (id, tag_attr) in attr.iter_objects() {
                 let expect = core.stats.tags.object(id).rob_head_stall_cycles;
                 assert_eq!(
                     tag_attr.total_stall(),
@@ -120,7 +120,7 @@ fn buckets_partition_cycles_and_ledger_reconciles_on_all_seven_configs() {
                 ledger_total += tag_attr.total_stall();
             }
             for seg in [Segment::Code, Segment::Data, Segment::Stack] {
-                let got = attr.tags.segment(seg).total_stall();
+                let got = attr.segment(seg).total_stall();
                 let expect = core.stats.tags.segment(seg).rob_head_stall_cycles;
                 assert_eq!(
                     got, expect,
@@ -149,12 +149,7 @@ fn buckets_partition_cycles_and_ledger_reconciles_on_all_seven_configs() {
 
 #[test]
 fn attribution_is_a_pure_observer() {
-    // One homogeneous and one heterogeneous machine suffice here — the
-    // seven-config digest gate already pins attribution-off behaviour.
-    for mem in [
-        MemSystemConfig::Homogeneous(ModuleKind::Ddr3),
-        MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1()),
-    ] {
+    for (name, mem) in all_mem_systems() {
         let plain = run(mem, false);
         let attr = run(mem, true);
         assert_eq!(plain.runtime_cycles, attr.runtime_cycles);
@@ -165,6 +160,11 @@ fn attribution_is_a_pure_observer() {
             assert_eq!(p.stats.cycles, a.stats.cycles);
             assert_eq!(p.stats.head_stall_cycles, a.stats.head_stall_cycles);
             assert_eq!(p.finished_at, a.finished_at);
+            assert_eq!(
+                p.stats.cpi_stack(),
+                a.stats.cpi_stack(),
+                "{name}: the CPI stack moved with attribution on"
+            );
         }
     }
 }
