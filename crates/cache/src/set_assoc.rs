@@ -93,22 +93,23 @@ impl CacheStats {
 
 /// The cache proper.
 ///
-/// Way state is stored struct-of-arrays, way `w` of set `s` at index
-/// `s * ways + w`, 6 bytes a way, so a probe compares one contiguous run of
-/// `u32` keys. A key is `tag + 1`, and 0 marks an invalid way. A tag that
-/// does not fit panics with its value rather than aliasing another line;
-/// none occurs in simulation, where a machine has at most 2 GiB (2^25
-/// lines).
+/// Way state is stored struct-of-arrays, way `w` of set `s` at slot
+/// `s * ways + w`, 5 bytes and a bit a way, so a probe compares one
+/// contiguous run of `u32` keys. A key is `tag + 1`, and 0 marks an
+/// invalid way. A tag that does not fit panics with its value rather than
+/// aliasing another line; none occurs in simulation, where a machine has
+/// at most 2 GiB (2^25 lines).
 ///
 /// `rank` is each way's place in its set's recency order, 0 = most recent;
 /// a set's ranks are always a permutation of `0..ways`. The LRU victim is
-/// the way ranked `ways - 1`.
+/// the way ranked `ways - 1`. `dirty` packs one bit per slot, slot `i` at
+/// bit `i % 64` of word `i / 64`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     keys: Vec<u32>,
     rank: Vec<u8>,
-    dirty: Vec<bool>,
+    dirty: Vec<u64>,
     set_count: u64,
     /// `set_count - 1`; the set count is asserted to be a power of two, so
     /// set selection is a mask and tag extraction a shift. `index` runs on
@@ -135,7 +136,7 @@ impl SetAssocCache {
         SetAssocCache {
             keys: vec![0; slots],
             rank: (0..slots).map(|slot| (slot % ways) as u8).collect(),
-            dirty: vec![false; slots],
+            dirty: vec![0; slots.div_ceil(64)],
             set_count,
             set_mask: set_count - 1,
             set_shift: set_count.trailing_zeros(),
@@ -179,6 +180,25 @@ impl SetAssocCache {
         LineAddr(u64::from(self.keys[slot] - 1) * self.set_count + set)
     }
 
+    /// Whether the line in `slot` is dirty.
+    #[inline]
+    fn is_dirty(&self, slot: usize) -> bool {
+        self.dirty[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// Set `slot`'s dirty bit to `dirty`.
+    #[inline]
+    fn set_dirty(&mut self, slot: usize, dirty: bool) {
+        let word = &mut self.dirty[slot / 64];
+        *word = *word & !(1 << (slot % 64)) | u64::from(dirty) << (slot % 64);
+    }
+
+    /// Mark `slot` dirty if `dirty`, leaving a set bit set.
+    #[inline]
+    fn or_dirty(&mut self, slot: usize, dirty: bool) {
+        self.dirty[slot / 64] |= u64::from(dirty) << (slot % 64);
+    }
+
     /// Make `slot` the most recent way of the set starting at `base`: every
     /// way more recent than it moves back one place, and it takes rank 0.
     #[inline]
@@ -218,7 +238,7 @@ impl SetAssocCache {
         let (base, key) = self.index(line);
         if let Some(slot) = self.probe(base, key) {
             self.touch(base, slot);
-            self.dirty[slot] |= write;
+            self.or_dirty(slot, write);
             self.stats.hits += 1;
             return true;
         }
@@ -241,7 +261,7 @@ impl SetAssocCache {
         let (base, key) = self.index(line);
         if let Some(slot) = self.probe(base, key) {
             self.touch(base, slot);
-            self.dirty[slot] |= dirty;
+            self.or_dirty(slot, dirty);
             return None;
         }
         // The first invalid way, else the least recently used one.
@@ -257,20 +277,19 @@ impl SetAssocCache {
             }
         };
         let victim = if self.keys[slot] != 0 {
+            let was_dirty = self.is_dirty(slot);
             self.stats.evictions += 1;
-            if self.dirty[slot] {
-                self.stats.writebacks += 1;
-            }
+            self.stats.writebacks += u64::from(was_dirty);
             Some(Victim {
                 line: self.line_at(slot),
-                dirty: self.dirty[slot],
+                dirty: was_dirty,
             })
         } else {
             None
         };
         self.keys[slot] = key;
         self.touch(base, slot);
-        self.dirty[slot] = dirty;
+        self.set_dirty(slot, dirty);
         victim
     }
 
@@ -281,7 +300,7 @@ impl SetAssocCache {
     pub fn writeback(&mut self, line: LineAddr) -> Option<Victim> {
         let (base, key) = self.index(line);
         if let Some(slot) = self.probe(base, key) {
-            self.dirty[slot] = true;
+            self.or_dirty(slot, true);
             self.touch(base, slot);
             return None;
         }
@@ -293,7 +312,7 @@ impl SetAssocCache {
         let (base, key) = self.index(line);
         let slot = self.probe(base, key)?;
         self.keys[slot] = 0;
-        Some(self.dirty[slot])
+        Some(self.is_dirty(slot))
     }
 
     /// Number of valid lines currently resident (test/debug helper).
@@ -322,7 +341,7 @@ impl SetAssocCache {
             let line = self.line_at(slot);
             if pred(line) {
                 self.keys[slot] = 0;
-                if self.dirty[slot] {
+                if self.is_dirty(slot) {
                     dirty.push(Victim { line, dirty: true });
                 }
             }
@@ -391,6 +410,21 @@ mod tests {
         assert_eq!(v.line, line(0, 1));
         assert!(v.dirty);
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn clean_fill_into_a_dirty_victims_way_is_clean() {
+        let mut c = tiny();
+        c.fill(line(0, 1), true);
+        c.fill(line(0, 2), false);
+        let v = c.fill(line(0, 3), false).expect("eviction");
+        assert_eq!(v.line, line(0, 1));
+        assert!(v.dirty);
+        // Tag 3 took tag 1's way clean, so evicting it writes nothing back.
+        c.fill(line(0, 4), false);
+        let v = c.fill(line(0, 5), false).expect("eviction");
+        assert_eq!(v.line, line(0, 3));
+        assert!(!v.dirty, "a clean fill must clear the way's dirty bit");
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod ids;
 pub mod par;
 pub mod rng;
 pub mod stats;
+pub mod tags;
 pub mod units;
 pub mod wheel;
 
@@ -27,6 +28,7 @@ pub use det::{DetMap, DetSet};
 pub use ids::{AppId, CoreId, ObjectClass, ObjectId, Segment};
 pub use rng::DetRng;
 pub use stats::{Counter, RunningStat};
+pub use tags::{TagCounters, TagTable};
 pub use units::{Cycle, GB, KB, MB};
 
 use serde::{Deserialize, Serialize};

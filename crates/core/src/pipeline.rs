@@ -114,11 +114,6 @@ impl Pipeline {
         self.cache.insert(lut.app.clone(), (lut, classified));
     }
 
-    /// Whether an application is already profiled.
-    pub fn is_seeded(&self, app: &str) -> bool {
-        self.cache.contains_key(app)
-    }
-
     fn entry(&mut self, app: &str) -> &(ProfileLut, ClassifiedApp) {
         if !self.cache.contains_key(app) {
             let spec = app_by_name(app);

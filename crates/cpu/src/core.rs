@@ -182,10 +182,12 @@ impl Core {
     /// Build a core.
     pub fn new(id: CoreId, cfg: CoreConfig) -> Core {
         let pc = cfg.code_base;
+        // Dispatch stops at `rob_entries`, so the ROB never regrows.
+        let rob = VecDeque::with_capacity(cfg.rob_entries);
         Core {
             id,
             cfg,
-            rob: VecDeque::new(),
+            rob,
             waiting: Vec::new(),
             min_dep_ready: Cycle::MAX,
             tickets: Vec::new(),
@@ -231,11 +233,6 @@ impl Core {
         if let Some(a) = self.attr.as_deref_mut() {
             a.resolve(ticket, tier, mech);
         }
-    }
-
-    /// Consume the statistics at end of run.
-    pub fn into_stats(self) -> CoreStats {
-        self.stats
     }
 
     /// Zero all statistics (end of a warmup/fast-forward phase, §V-A). The
@@ -1198,7 +1195,7 @@ mod tests {
             ledger.object(ObjectId(0)).total_stall(),
             o0.rob_head_stall_cycles
         );
-        assert_eq!(ledger.total_stall(), stack.load_miss);
+        assert_eq!(ledger.total().total_stall(), stack.load_miss);
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub mod stats;
 
 pub use crate::core::{Core, CoreConfig, MemPort, MemReply, StoreReply};
 pub use instr::{Instr, InstrStream};
-pub use stats::{CoreStats, TagStats, TagTable};
+pub use stats::{CoreStats, TagStats};

@@ -1,8 +1,7 @@
 //! Per-tag (object / segment) statistics — the raw material of MOCA's
 //! profiler.
 
-use moca_common::ids::MemTag;
-use moca_common::{ObjectId, Segment};
+use moca_common::{TagCounters, TagTable};
 use moca_telemetry::attribution::CycleBuckets;
 use serde::{Deserialize, Serialize};
 
@@ -31,107 +30,14 @@ impl TagStats {
     pub fn stall_per_miss(&self) -> f64 {
         moca_common::stats::safe_div(self.rob_head_stall_cycles as f64, self.miss_loads as f64)
     }
+}
 
-    /// Merge counters from another run segment.
-    pub fn merge(&mut self, o: &TagStats) {
+impl TagCounters for TagStats {
+    fn merge(&mut self, o: &TagStats) {
         self.accesses += o.accesses;
         self.llc_misses += o.llc_misses;
         self.miss_loads += o.miss_loads;
         self.rob_head_stall_cycles += o.rob_head_stall_cycles;
-    }
-}
-
-/// Dense table of [`TagStats`] indexed by heap object id, plus one slot per
-/// non-heap segment. Objects get dense ids from the naming registry, so a
-/// `Vec` beats a hash map on the per-access hot path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TagTable {
-    heap: Vec<TagStats>,
-    code: TagStats,
-    data: TagStats,
-    stack: TagStats,
-}
-
-impl TagTable {
-    /// Table sized for `objects` heap objects.
-    pub fn new(objects: usize) -> TagTable {
-        TagTable {
-            heap: vec![TagStats::default(); objects],
-            ..TagTable::default()
-        }
-    }
-
-    /// Mutable stats slot for `tag`, growing the heap table on demand.
-    pub fn get_mut(&mut self, tag: MemTag) -> &mut TagStats {
-        match tag.segment {
-            Segment::Heap => {
-                // moca-lint: allow(panic-in-hot): MemTag::heap always pairs Heap with an object id (construction invariant)
-                let id = tag.object.expect("heap tag carries an object").0 as usize;
-                if id >= self.heap.len() {
-                    self.heap.resize(id + 1, TagStats::default());
-                }
-                &mut self.heap[id]
-            }
-            Segment::Code => &mut self.code,
-            Segment::Data => &mut self.data,
-            Segment::Stack => &mut self.stack,
-        }
-    }
-
-    /// Stats of a heap object (zeros if never touched).
-    pub fn object(&self, id: ObjectId) -> TagStats {
-        self.heap.get(id.0 as usize).copied().unwrap_or_default()
-    }
-
-    /// Stats of a non-heap segment.
-    pub fn segment(&self, seg: Segment) -> TagStats {
-        match seg {
-            Segment::Code => self.code,
-            Segment::Data => self.data,
-            Segment::Stack => self.stack,
-            Segment::Heap => {
-                let mut total = TagStats::default();
-                for t in &self.heap {
-                    total.merge(t);
-                }
-                total
-            }
-        }
-    }
-
-    /// Counters summed over every heap object and segment.
-    pub fn total(&self) -> TagStats {
-        let mut total = self.segment(Segment::Heap);
-        for seg in [Segment::Code, Segment::Data, Segment::Stack] {
-            total.merge(&self.segment(seg));
-        }
-        total
-    }
-
-    /// Number of heap object slots.
-    pub fn objects(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Iterate `(ObjectId, stats)` over heap objects.
-    pub fn iter_objects(&self) -> impl Iterator<Item = (ObjectId, &TagStats)> + '_ {
-        self.heap
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (ObjectId(i as u32), s))
-    }
-
-    /// Merge another table into this one.
-    pub fn merge(&mut self, other: &TagTable) {
-        if other.heap.len() > self.heap.len() {
-            self.heap.resize(other.heap.len(), TagStats::default());
-        }
-        for (a, b) in self.heap.iter_mut().zip(other.heap.iter()) {
-            a.merge(b);
-        }
-        self.code.merge(&other.code);
-        self.data.merge(&other.data);
-        self.stack.merge(&other.stack);
     }
 }
 
@@ -167,7 +73,7 @@ pub struct CoreStats {
     /// Cycles dispatch was blocked on a full LQ.
     pub lq_full_cycles: u64,
     /// Per-tag attribution.
-    pub tags: TagTable,
+    pub tags: TagTable<TagStats>,
 }
 
 impl CoreStats {
@@ -202,6 +108,8 @@ impl CoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moca_common::ids::MemTag;
+    use moca_common::{ObjectId, Segment};
 
     #[test]
     fn mpki_scales_with_instructions() {
@@ -225,7 +133,7 @@ mod tests {
 
     #[test]
     fn tag_table_routes_segments_and_objects() {
-        let mut t = TagTable::new(2);
+        let mut t = TagTable::<TagStats>::new(2);
         t.get_mut(MemTag::heap(ObjectId(1))).accesses += 3;
         t.get_mut(MemTag::segment(Segment::Stack)).accesses += 2;
         assert_eq!(t.object(ObjectId(1)).accesses, 3);
@@ -235,7 +143,7 @@ mod tests {
 
     #[test]
     fn tag_table_grows_on_demand() {
-        let mut t = TagTable::new(0);
+        let mut t = TagTable::<TagStats>::new(0);
         t.get_mut(MemTag::heap(ObjectId(5))).llc_misses += 1;
         assert_eq!(t.objects(), 6);
         assert_eq!(t.object(ObjectId(5)).llc_misses, 1);
@@ -243,7 +151,7 @@ mod tests {
 
     #[test]
     fn heap_segment_query_sums_objects() {
-        let mut t = TagTable::new(2);
+        let mut t = TagTable::<TagStats>::new(2);
         t.get_mut(MemTag::heap(ObjectId(0))).llc_misses = 2;
         t.get_mut(MemTag::heap(ObjectId(1))).llc_misses = 3;
         assert_eq!(t.segment(Segment::Heap).llc_misses, 5);
@@ -251,8 +159,8 @@ mod tests {
 
     #[test]
     fn merge_tables() {
-        let mut a = TagTable::new(1);
-        let mut b = TagTable::new(3);
+        let mut a = TagTable::<TagStats>::new(1);
+        let mut b = TagTable::<TagStats>::new(3);
         a.get_mut(MemTag::heap(ObjectId(0))).accesses = 1;
         b.get_mut(MemTag::heap(ObjectId(2))).accesses = 7;
         a.merge(&b);

@@ -43,12 +43,6 @@ pub fn decode_local(timing: &DeviceTiming, local_byte_addr: u64) -> DecodedAddr 
     DecodedAddr { bank, row, col }
 }
 
-/// Identifier of the "row" for open-page hit detection: unique per
-/// (bank, row) pair at line granularity.
-pub fn open_row_id(timing: &DeviceTiming, local_byte_addr: u64) -> u32 {
-    decode_local(timing, local_byte_addr).row
-}
-
 /// Maps a global physical line address to a channel and a channel-local byte
 /// offset.
 #[derive(Debug, Clone, Serialize, Deserialize)]

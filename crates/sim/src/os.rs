@@ -326,11 +326,6 @@ impl Os {
     pub fn frames(&self) -> &FrameSpace {
         &self.frames
     }
-
-    /// Per-core TLB statistics.
-    pub fn tlb_stats(&self, core_idx: usize) -> moca_vm::tlb::TlbStats {
-        *self.tlbs[core_idx].stats()
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! into the `unresolved` tier so per-object totals always reconcile.
 
 use moca_common::ids::MemTag;
-use moca_common::{Cycle, ModuleKind, ObjectId, Segment};
+use moca_common::{Cycle, ModuleKind, TagCounters, TagTable};
 use serde::{Deserialize, Serialize};
 
 /// Serving-tier axis: the four DRAM technologies plus `unresolved` (the
@@ -255,9 +255,10 @@ impl TagAttr {
         }
         best
     }
+}
 
-    /// Merge another tag's attribution into this one.
-    pub fn merge(&mut self, other: &TagAttr) {
+impl TagCounters for TagAttr {
+    fn merge(&mut self, other: &TagAttr) {
         for (a, b) in self.stall.iter_mut().zip(other.stall.iter()) {
             *a += b;
         }
@@ -265,75 +266,9 @@ impl TagAttr {
     }
 }
 
-/// Dense per-tag attribution table, mirroring the shape of the core's
-/// `TagTable`: heap objects by dense id plus one slot per static segment.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AttrTagTable {
-    heap: Vec<TagAttr>,
-    code: TagAttr,
-    data: TagAttr,
-    stack: TagAttr,
-}
-
-impl AttrTagTable {
-    /// Mutable slot for `tag`, growing the heap table on demand.
-    pub fn get_mut(&mut self, tag: MemTag) -> &mut TagAttr {
-        match tag.segment {
-            Segment::Heap => {
-                let id = tag.object.expect("heap tag carries an object").0 as usize;
-                if id >= self.heap.len() {
-                    self.heap.resize(id + 1, TagAttr::default());
-                }
-                &mut self.heap[id]
-            }
-            Segment::Code => &mut self.code,
-            Segment::Data => &mut self.data,
-            Segment::Stack => &mut self.stack,
-        }
-    }
-
-    /// Attribution of one heap object (default if never charged).
-    pub fn object(&self, id: ObjectId) -> TagAttr {
-        self.heap.get(id.0 as usize).cloned().unwrap_or_default()
-    }
-
-    /// Attribution of one non-heap segment (`Heap` sums every object).
-    pub fn segment(&self, seg: Segment) -> TagAttr {
-        match seg {
-            Segment::Code => self.code.clone(),
-            Segment::Data => self.data.clone(),
-            Segment::Stack => self.stack.clone(),
-            Segment::Heap => {
-                let mut total = TagAttr::default();
-                for t in &self.heap {
-                    total.merge(t);
-                }
-                total
-            }
-        }
-    }
-
-    /// Number of heap object slots.
-    pub fn objects(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Iterate `(ObjectId, attribution)` over heap objects.
-    pub fn iter_objects(&self) -> impl Iterator<Item = (ObjectId, &TagAttr)> + '_ {
-        self.heap
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (ObjectId(i as u32), t))
-    }
-
-    /// Total load-miss stall over every tag (objects and segments).
-    pub fn total_stall(&self) -> u64 {
-        self.heap.iter().map(TagAttr::total_stall).sum::<u64>()
-            + self.code.total_stall()
-            + self.data.total_stall()
-            + self.stack.total_stall()
-    }
-}
+/// Per-tag stall ledger: heap objects by dense id plus one slot per static
+/// segment, the same table the core keeps its profiling counters in.
+pub type AttrTagTable = TagTable<TagAttr>;
 
 /// One head-stall accrual awaiting its completion's tier/mechanism.
 #[derive(Debug, Clone, Copy)]
@@ -448,6 +383,7 @@ pub struct OccupancySample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moca_common::{ObjectId, Segment};
 
     fn heap(id: u32) -> MemTag {
         MemTag::heap(ObjectId(id))
@@ -557,7 +493,7 @@ mod tests {
         assert_eq!(table.object(ObjectId(0)).total_stall(), 0);
         assert_eq!(table.segment(Segment::Stack).total_stall(), 2);
         assert_eq!(table.segment(Segment::Heap).total_stall(), 5);
-        assert_eq!(table.total_stall(), 7);
+        assert_eq!(table.total().total_stall(), 7);
         assert_eq!(table.objects(), 2);
     }
 }

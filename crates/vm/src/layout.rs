@@ -2,18 +2,25 @@
 //! (Fig. 6 of the paper).
 //!
 //! ```text
-//!   0x0040_0000  code (text)
-//!   0x1000_0000  data / bss
-//!   0x2000_0000  Pow-MO heap   (non-memory-intensive objects)
-//!   0x4000_0000  BW-MO heap    (bandwidth-sensitive objects)
-//!   0x6000_0000  Lat-MO heap   (latency-sensitive objects)
-//!   0x7000_0000  stack (grows down from 0x7FFF_F000)
+//!   0x0000_0040_0000  code (text)
+//!   0x0000_1000_0000  data / bss
+//!   0x0100_0000_0000  Pow-MO heap   (non-memory-intensive objects)
+//!   0x0200_0000_0000  BW-MO heap    (bandwidth-sensitive objects)
+//!   0x0300_0000_0000  Lat-MO heap   (latency-sensitive objects)
+//!   0x0400_0000_0000  stack (256 MiB, grows down from 0x0400_0FFF_F000)
 //! ```
 //!
 //! Because each heap class owns a disjoint virtual range, the OS can derive
 //! the desired module type from the faulting virtual page number — exactly
 //! the mechanism of §III-C ("based on the memory object's virtual page
 //! number, the OS identifies the type of the memory object").
+//!
+//! Each heap partition spans 1 TiB, far beyond any simulated machine's
+//! physical memory, so no workload at any capacity scale overflows one.
+//! Every address stays below 2^44, so every vpn fits the 32-bit values of
+//! the OS's frame → vpn owner table. Page tables key each region by its
+//! offset from its own base (the stack by its offset below the top), so
+//! the width of the gaps costs them nothing.
 
 use moca_common::addr::{VirtAddr, PAGE_SIZE};
 use moca_common::{ObjectClass, Segment};
@@ -23,16 +30,19 @@ use serde::{Deserialize, Serialize};
 pub const CODE_BASE: u64 = 0x0040_0000;
 /// Base of the data/bss segment.
 pub const DATA_BASE: u64 = 0x1000_0000;
+/// Stride between the heap partition bases (1 TiB).
+const PARTITION_STRIDE: u64 = 1 << 40;
 /// Base of the power (non-intensive) heap partition.
-pub const POW_HEAP_BASE: u64 = 0x2000_0000;
+pub const POW_HEAP_BASE: u64 = PARTITION_STRIDE;
 /// Base of the bandwidth heap partition.
-pub const BW_HEAP_BASE: u64 = 0x4000_0000;
+pub const BW_HEAP_BASE: u64 = 2 * PARTITION_STRIDE;
 /// Base of the latency heap partition.
-pub const LAT_HEAP_BASE: u64 = 0x6000_0000;
+pub const LAT_HEAP_BASE: u64 = 3 * PARTITION_STRIDE;
 /// Lowest address of the stack region.
-pub const STACK_BASE: u64 = 0x7000_0000;
-/// Stack top (stack grows down from here).
-pub const STACK_TOP: u64 = 0x7FFF_F000;
+pub const STACK_BASE: u64 = 4 * PARTITION_STRIDE;
+/// Stack top (stack grows down from here): 256 MiB above the base, less
+/// one page.
+pub const STACK_TOP: u64 = STACK_BASE + 0x0FFF_F000;
 
 /// Exclusive end of a heap partition's virtual range: the next partition's
 /// base, or the stack for the topmost (latency) partition.
@@ -84,6 +94,12 @@ pub fn validate_layout() -> Result<(), String> {
     }
     if !STACK_TOP.is_multiple_of(PAGE_SIZE) {
         return Err(format!("stack top {STACK_TOP:#x} is not page-aligned"));
+    }
+    // The OS's owner table stores vpns as 32-bit values.
+    if STACK_TOP > 1 << 44 {
+        return Err(format!(
+            "stack top {STACK_TOP:#x} is above 2^44, so its vpns overflow 32 bits"
+        ));
     }
     Ok(())
 }
@@ -181,7 +197,8 @@ impl HeapLayout {
     /// Allocate `size` bytes in the partition for `class` (64 B aligned, so
     /// objects never share cache lines — matching how the profiler
     /// attributes misses to objects). Panics if a partition overflows its
-    /// virtual range, which no configured workload approaches.
+    /// 1 TiB virtual range; a footprint that large would first exhaust the
+    /// physical frames of any configured machine.
     pub fn alloc_heap(&mut self, class: ObjectClass, size: u64) -> VirtAddr {
         let cur = self.cursor_mut(class);
         let va = VirtAddr(*cur);

@@ -1,21 +1,54 @@
 //! Per-process page table.
 
+use crate::layout::{BW_HEAP_BASE, DATA_BASE, LAT_HEAP_BASE, POW_HEAP_BASE, STACK_BASE, STACK_TOP};
 use crate::radix::RadixMap;
-use moca_common::addr::{PhysAddr, VirtAddr};
+use moca_common::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
+
+/// Layout regions a table keys separately: code, data, the three heap
+/// partitions and the stack.
+const REGIONS: usize = 6;
+
+/// First vpn of each region but the stack, ascending. The code region
+/// starts at vpn 0, so every vpn below the stack has a region.
+const ORIGINS: [u64; REGIONS - 1] = [
+    0,
+    DATA_BASE / PAGE_SIZE,
+    POW_HEAP_BASE / PAGE_SIZE,
+    BW_HEAP_BASE / PAGE_SIZE,
+    LAT_HEAP_BASE / PAGE_SIZE,
+];
+
+/// First stack vpn, and the vpn just above the stack's top page.
+const STACK_FIRST: u64 = STACK_BASE / PAGE_SIZE;
+const STACK_END: u64 = STACK_TOP / PAGE_SIZE;
+
+/// Region of `vpn` and its key there: the offset above the region's
+/// origin, or for the stack (which grows down) the offset below its top
+/// page. A vpn above the stack's top gets a key far beyond any chunk.
+#[inline]
+fn locate(vpn: u64) -> (usize, u64) {
+    if vpn >= STACK_FIRST {
+        return (REGIONS - 1, (STACK_END - 1).wrapping_sub(vpn));
+    }
+    let region = ORIGINS[1..].iter().map(|&o| usize::from(vpn >= o)).sum();
+    (region, vpn - ORIGINS[region])
+}
 
 /// A flat virtual→physical page map (the simulator's stand-in for the
 /// multi-level x86 table; the page-walk *cost* is modelled by the TLB-miss
 /// penalty in the core).
 ///
 /// Translation is the hottest VM operation — every TLB miss lands here —
-/// so the table is a dense [`RadixMap`] over the VPN rather than an ordered
-/// map: lookups are two dereferences with no comparisons, and
-/// [`PageTable::iter`] remains ascending-by-vpn exactly as with the
-/// previous `DetMap`. Entries are 32-bit pfns, so a table addresses at
-/// most 2^32 frames (16 TiB of 4 KiB pages).
+/// so the table is one dense [`RadixMap`] per layout region rather than an
+/// ordered map: a lookup selects the region with a few compares, then
+/// makes two dereferences. Keying each region by its offset from its own
+/// base keeps every radix top level a few slots long however far apart
+/// the regions sit, and [`PageTable::iter`] still ascends by vpn. Entries
+/// are 32-bit pfns, so a table addresses at most 2^32 frames (16 TiB of
+/// 4 KiB pages).
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    map: RadixMap,
+    regions: [RadixMap; REGIONS],
     mapped: usize,
 }
 
@@ -28,7 +61,8 @@ impl PageTable {
     /// Translate a virtual page number. `None` ⇒ page fault.
     #[inline]
     pub fn translate_vpn(&self, vpn: u64) -> Option<u64> {
-        self.map.get(vpn)
+        let (region, key) = locate(vpn);
+        self.regions[region].get(key)
     }
 
     /// Translate a full virtual address, preserving the page offset.
@@ -38,16 +72,20 @@ impl PageTable {
     }
 
     /// Install a mapping. Panics on double-mapping a vpn (a bug in the
-    /// fault handler).
+    /// fault handler) and on a vpn above the stack's top, which no layout
+    /// region holds.
     pub fn map(&mut self, vpn: u64, pfn: u64) {
-        let old = self.map.insert(vpn, pfn);
+        assert!(vpn < STACK_END, "vpn {vpn:#x} is above the stack top");
+        let (region, key) = locate(vpn);
+        let old = self.regions[region].insert(key, pfn);
         assert!(old.is_none(), "vpn {vpn:#x} double-mapped");
         self.mapped += 1;
     }
 
     /// Remove a mapping, returning the frame it pointed to.
     pub fn unmap(&mut self, vpn: u64) -> Option<u64> {
-        let pfn = self.map.remove(vpn);
+        let (region, key) = locate(vpn);
+        let pfn = self.regions[region].remove(key);
         self.mapped -= usize::from(pfn.is_some());
         pfn
     }
@@ -60,7 +98,17 @@ impl PageTable {
     /// Iterate over `(vpn, pfn)` pairs in ascending vpn order (used by
     /// placement statistics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter()
+        let (below, stack) = self.regions.split_at(REGIONS - 1);
+        below
+            .iter()
+            .zip(ORIGINS)
+            .flat_map(|(map, origin)| map.iter().map(move |(key, pfn)| (origin + key, pfn)))
+            .chain(
+                stack[0]
+                    .iter()
+                    .rev()
+                    .map(|(key, pfn)| (STACK_END - 1 - key, pfn)),
+            )
     }
 }
 
@@ -108,6 +156,12 @@ mod tests {
         assert_eq!(pt.translate_vpn(0x7000), Some(0));
         assert_eq!(pt.unmap(0x7000), Some(0));
         assert_eq!(pt.mapped_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the stack top")]
+    fn mapping_above_the_stack_top_panics() {
+        PageTable::new().map(STACK_END, 1);
     }
 
     #[test]

@@ -78,8 +78,9 @@ impl RadixMap {
         }
     }
 
-    /// Iterate over `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// Iterate over `(key, value)` pairs in ascending key order (reversed,
+    /// in descending order).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
         self.chunks
             .iter()
             .enumerate()

@@ -9,7 +9,9 @@
 //! a layout regression deterministically instead of leaving it to
 //! `peak_heap_mb`'s noise bound in the benchmark.
 
+use moca::policy::MocaPolicy;
 use moca::LowPowerFirstPolicy;
+use moca_common::ObjectClass;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
 use moca_sim::system::AppLaunch;
 use moca_sim::CoreHierarchy;
@@ -89,19 +91,67 @@ fn held_bytes<T>(make: impl FnOnce() -> T) -> (T, isize) {
 }
 
 #[test]
-fn table1_hierarchy_holds_at_most_64_kib() {
+fn table1_hierarchy_holds_at_most_54_kib() {
     let (hierarchy, bytes) = held_bytes(CoreHierarchy::new);
-    // 10,240 ways at 6 bytes (u32 key, u8 recency rank, dirty flag) is
-    // 61,440 B; the rest is MSHRs and empty queues.
+    // 10,240 ways at 5 bytes (u32 key, u8 recency rank) plus a packed
+    // dirty bit each is 52,480 B; the rest is MSHRs and empty queues.
     assert!(
-        bytes <= 64 * 1024,
-        "CoreHierarchy::new() holds {bytes} B of heap, over the 64 KiB bound"
+        bytes <= 54 * 1024,
+        "CoreHierarchy::new() holds {bytes} B of heap, over the 54 KiB bound"
     );
     assert!(
-        bytes >= 10_240 * 6,
+        bytes >= 10_240 * 5,
         "measured {bytes} B: is the allocator counting?"
     );
     drop(hierarchy);
+}
+
+/// The benchmark's `colo16-compute` tenant list: two big latency-bound
+/// apps plus a rotation of the small-footprint suite.
+const COLO16_APPS: [&str; 16] = [
+    "mcf", "mser", "gcc", "sift", "stitch", "gcc", "sift", "stitch", "gcc", "sift", "stitch",
+    "gcc", "sift", "stitch", "gcc", "sift",
+];
+
+#[test]
+fn colo16_system_new_holds_at_most_1200_kib() {
+    // Sixteen cores under MOCA on Heter config1 at the default 1/64 scale.
+    // Objects take the three heap classes in turn, so every app's page
+    // table maps pages in every layout region.
+    let cfg = SystemConfig::multi_core(
+        COLO16_APPS.len(),
+        MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1()),
+    );
+    let launches = COLO16_APPS
+        .iter()
+        .map(|&name| {
+            let spec = app_by_name(name);
+            let object_classes = (0..spec.objects.len())
+                .map(|i| ObjectClass::ALL[i % ObjectClass::ALL.len()])
+                .collect();
+            AppLaunch {
+                spec,
+                input: InputSet::reference(),
+                object_classes,
+            }
+        })
+        .collect();
+    let (sys, held) = held_bytes(|| moca_sim::System::new(cfg, launches, Box::new(MocaPolicy)));
+    // Per core: a 52 KiB hierarchy, an exactly sized ROB, and a page
+    // table whose per-region radix top levels are a few slots each, plus
+    // the 2 KiB chunks its pages touch. Measured at 1,179,785 B. A dense
+    // page radix (an 8 KiB top level per table) or byte-wide dirty flags
+    // (9 KiB more per core) would each break the bound.
+    const BOUND: isize = 1200 * 1024;
+    assert!(
+        held <= BOUND,
+        "16-core System::new holds {held} B, over the 1200 KiB bound"
+    );
+    assert!(
+        held >= 16 * 10_240 * 5,
+        "measured {held} B: is the allocator counting?"
+    );
+    drop(sys);
 }
 
 #[test]

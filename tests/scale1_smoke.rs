@@ -11,9 +11,15 @@
 //!    churn (bitmap-bounded, not freed-Vec-bounded);
 //! 2. the allocation order is deterministic, pinned by a committed FNV
 //!    digest.
+//!
+//! It also runs mcf under MOCA on a full-capacity Heter config1 machine
+//! with its whole heap in the latency partition, which needs a partition
+//! far wider than the 256 MiB the layout once gave each heap class.
 
-use moca_common::{ModuleKind, PAGE_SIZE};
-use moca_sim::config::MemSystemConfig;
+use moca::policy::MocaPolicy;
+use moca_common::{ModuleKind, ObjectClass, MB, PAGE_SIZE};
+use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
+use moca_sim::system::{AppLaunch, System};
 use moca_vm::frames::FrameSpace;
 use moca_workloads::gen::scaled_sizes;
 use moca_workloads::{app_by_name, InputSet};
@@ -99,5 +105,38 @@ fn full_mcf_footprint_allocates_frees_and_stays_bitmap_bounded() {
     assert_eq!(
         digest, SCALE1_ALLOC_DIGEST,
         "scale=1 allocation order changed; if intentional update SCALE1_ALLOC_DIGEST to {digest:#018x}"
+    );
+}
+
+#[test]
+fn moca_runs_full_mcf_footprint_in_the_latency_partition() {
+    let spec = app_by_name("mcf");
+    let heap: u64 = scaled_sizes(&spec, InputSet::reference(), 1.0).iter().sum();
+    assert!(
+        heap > 256 * MB,
+        "mcf's scale-1 heap ({heap} B) must overflow a 256 MiB partition"
+    );
+    let launch = AppLaunch {
+        object_classes: vec![ObjectClass::LatencySensitive; spec.objects.len()],
+        spec,
+        input: InputSet::reference(),
+    };
+    let cfg = SystemConfig {
+        capacity_scale: 1.0,
+        ..SystemConfig::single_core(MemSystemConfig::Heterogeneous(
+            HeterogeneousLayout::config1(),
+        ))
+    };
+    let mut sys = System::new(cfg, vec![launch], Box::new(MocaPolicy));
+    let pages = sys.os().page_table(0).mapped_pages() as u64;
+    assert!(
+        pages >= heap / PAGE_SIZE,
+        "{pages} pages prefaulted for a {heap} B heap"
+    );
+    let result = sys.run_warmed(2_000, 10_000);
+    assert!(
+        result.per_core[0].stats.committed >= 10_000,
+        "mcf committed {} of 10,000 instructions",
+        result.per_core[0].stats.committed
     );
 }
