@@ -42,7 +42,8 @@
 
 use moca::pipeline::PolicyKind;
 use moca_bench::experiments as exp;
-use moca_bench::{Scale, SeededPipeline, Table};
+use moca_bench::harness::suite_names;
+use moca_bench::{Plan, Scale, Table, Target};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_telemetry::{write_chrome_trace, HostProfiler, ProgressReporter, RingSink, Telemetry};
 use std::collections::BTreeSet;
@@ -58,28 +59,6 @@ fn usage() -> ! {
     );
     std::process::exit(2);
 }
-
-/// Every target `all` expands to, in the order the usage line lists them.
-const TARGETS: [&str; 18] = [
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "thresholds",
-    "migration",
-    "ablations",
-];
 
 fn set_jobs(n: &str) {
     match n.parse::<usize>() {
@@ -228,10 +207,15 @@ fn main() {
     if targets.is_empty() && trace.is_none() {
         usage();
     }
+    let known: Vec<&str> = exp::GENERATORS
+        .iter()
+        .flat_map(|(names, _)| *names)
+        .copied()
+        .collect();
     if targets.remove("all") {
-        targets.extend(TARGETS.iter().map(|t| t.to_string()));
+        targets.extend(known.iter().map(|t| t.to_string()));
     }
-    if let Some(t) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+    if let Some(t) = targets.iter().find(|t| !known.contains(&t.as_str())) {
         eprintln!("repro: unknown target {t:?}");
         usage();
     }
@@ -241,167 +225,77 @@ fn main() {
     let mut profiler = HostProfiler::new();
     let mut traced_cycles: Option<u64> = None;
 
-    let emit = |t: &Table| {
+    let mut pipeline = scale.pipeline();
+    pipeline.profile_cfg.capacity_scale = capacity_scale;
+    progress.step(&format!(
+        "profiling and declaring runs ({scale:?}, capacity scale {capacity_scale}) ..."
+    ));
+    let declared: Vec<(&[&str], Target)> = profiler.time("profiling", || {
+        exp::GENERATORS
+            .into_iter()
+            .filter(|(names, _)| names.iter().any(|n| targets.contains(*n)))
+            .map(|(names, declare)| (names, declare(&mut pipeline)))
+            .collect()
+    });
+
+    if let Some(trace_path) = &trace {
+        let window = metrics_window.unwrap_or(50_000);
+        progress.step(&format!(
+            "traced exemplar run (mcf, Heter config1, MOCA, {window}-cycle windows) ..."
+        ));
+        pipeline.profile_all(&suite_names());
+        let mut tel = Telemetry::with_sink(Box::new(RingSink::new(200_000)))
+            .with_window(window)
+            .with_host_profiling();
+        pipeline.emit_classifications(&mut tel);
+        let (res, mut tel) = profiler.time("traced-run", || {
+            pipeline.evaluate_with_telemetry(
+                &["mcf"],
+                MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1()),
+                PolicyKind::Moca,
+                tel,
+            )
+        });
+        traced_cycles = Some(res.runtime_cycles);
+        let events = tel.drain_events();
+        progress.step(&format!(
+            "traced run finished: {} cycles, {} events captured",
+            res.runtime_cycles,
+            events.len()
+        ));
+        match write_chrome_trace(trace_path, &events, &tel.registry, Some(&profiler)) {
+            Ok(()) => progress.step(&format!("trace written to {}", trace_path.display())),
+            Err(e) => eprintln!("warning: could not write trace: {e}"),
+        }
+        print!("{}", tel.registry.render_summary());
+        print!("{}", tel.components.render_summary());
+    }
+
+    let plan = Plan::new(declared.iter().flat_map(|(_, t)| &t.specs));
+    progress.step(&format!(
+        "simulations: {} declared runs, {} distinct, workers: {} ...",
+        plan.declared,
+        plan.queue.len(),
+        plan.workers()
+    ));
+    let runs = profiler.time("simulations", || plan.run());
+    progress.step("simulations done");
+    let tables: Vec<Table> = profiler.time("tables", || {
+        let mut tables = Vec::new();
+        for (names, target) in declared {
+            let mut rendered = target.render(&runs);
+            rendered.retain(|t| names.len() == 1 || targets.contains(&t.id));
+            tables.append(&mut rendered);
+        }
+        tables
+    });
+    for t in &tables {
         println!("{}", t.render());
         if let Err(e) = t.save_json(&out_dir) {
             eprintln!("warning: could not save {}.json: {e}", t.id);
         }
-    };
-
-    // Static tables need no simulation.
-    if targets.contains("table1") {
-        emit(&exp::table1());
-    }
-    if targets.contains("table2") {
-        emit(&exp::table2());
     }
 
-    let needs_profiles = trace.is_some()
-        || targets.iter().any(|t| {
-            matches!(
-                t.as_str(),
-                "table3"
-                    | "fig1"
-                    | "fig2"
-                    | "fig5"
-                    | "fig8"
-                    | "fig9"
-                    | "fig10"
-                    | "fig11"
-                    | "fig12"
-                    | "fig13"
-                    | "fig14"
-                    | "fig15"
-                    | "fig16"
-                    | "migration"
-                    | "ablations"
-            )
-        });
-    if needs_profiles {
-        progress.step(&format!(
-            "profiling the suite ({scale:?}, capacity scale {capacity_scale}) ..."
-        ));
-        let sp = profiler.time("profile-suite", || {
-            SeededPipeline::new_scaled(scale, capacity_scale)
-        });
-        progress.step("profiling done");
-
-        if let Some(trace_path) = &trace {
-            let window = metrics_window.unwrap_or(50_000);
-            progress.step(&format!(
-                "traced exemplar run (mcf, Heter config1, MOCA, {window}-cycle windows) ..."
-            ));
-            let mut p = sp.pipeline.clone();
-            let mut tel = Telemetry::with_sink(Box::new(RingSink::new(200_000)))
-                .with_window(window)
-                .with_host_profiling();
-            p.emit_classifications(&mut tel);
-            let (res, mut tel) = profiler.time("traced-run", || {
-                p.evaluate_with_telemetry(
-                    &["mcf"],
-                    MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1()),
-                    PolicyKind::Moca,
-                    tel,
-                )
-            });
-            traced_cycles = Some(res.runtime_cycles);
-            let events = tel.drain_events();
-            progress.step(&format!(
-                "traced run finished: {} cycles, {} events captured",
-                res.runtime_cycles,
-                events.len()
-            ));
-            match write_chrome_trace(trace_path, &events, &tel.registry, Some(&profiler)) {
-                Ok(()) => progress.step(&format!("trace written to {}", trace_path.display())),
-                Err(e) => eprintln!("warning: could not write trace: {e}"),
-            }
-            print!("{}", tel.registry.render_summary());
-            print!("{}", tel.components.render_summary());
-        }
-
-        let mut sp = sp;
-        if targets.contains("fig1") {
-            emit(&profiler.time("fig1", || exp::fig1(&mut sp)));
-        }
-        if targets.contains("fig2") {
-            emit(&profiler.time("fig2", || exp::fig2(&mut sp)));
-        }
-        if targets.contains("fig5") {
-            emit(&profiler.time("fig5", || exp::fig5(&mut sp)));
-        }
-        if targets.contains("table3") {
-            emit(&profiler.time("table3", || exp::table3(&mut sp)));
-        }
-        if targets.contains("fig16") {
-            emit(&profiler.time("fig16", || exp::fig16(&mut sp)));
-        }
-        if targets.contains("fig8") || targets.contains("fig9") {
-            progress.step("fig8/fig9: single-core sweep (60 runs) ...");
-            let (f8, f9) = profiler.time("fig8-fig9", || exp::fig8_fig9(&sp));
-            progress.step("fig8/fig9 done");
-            if targets.contains("fig8") {
-                emit(&f8);
-            }
-            if targets.contains("fig9") {
-                emit(&f9);
-            }
-        }
-        let multi = ["fig10", "fig11", "fig12", "fig13"];
-        if multi.iter().any(|m| targets.contains(*m)) {
-            progress.step("fig10-13: multicore sweep (60 four-core runs) ...");
-            let (f10, f11, f12, f13) = profiler.time("fig10-fig13", || exp::fig10_to_13(&sp));
-            progress.step("fig10-13 done");
-            for (name, tab) in [
-                ("fig10", &f10),
-                ("fig11", &f11),
-                ("fig12", &f12),
-                ("fig13", &f13),
-            ] {
-                if targets.contains(name) {
-                    emit(tab);
-                }
-            }
-        }
-        if targets.contains("migration") {
-            progress.step("migration study (9 runs) ...");
-            emit(&profiler.time("migration", || exp::migration_study(&sp)));
-            progress.step("migration study done");
-        }
-        if targets.contains("ablations") {
-            progress.step("design ablations (fallback orders, segments, scale) ...");
-            let (a, b, c) = profiler.time("ablations", || {
-                (
-                    exp::ablation_fallback(&sp),
-                    exp::ablation_segments(&sp),
-                    exp::ablation_scale(),
-                )
-            });
-            emit(&a);
-            emit(&b);
-            emit(&c);
-            progress.step("ablations done");
-        }
-        if targets.contains("fig14") || targets.contains("fig15") {
-            progress.step("fig14/fig15: configuration sweep (30 four-core runs) ...");
-            let (f14, f15) = profiler.time("fig14-fig15", || exp::fig14_fig15(&sp));
-            progress.step("fig14/fig15 done");
-            if targets.contains("fig14") {
-                emit(&f14);
-            }
-            if targets.contains("fig15") {
-                emit(&f15);
-            }
-        }
-    }
-
-    if targets.contains("thresholds") {
-        progress.step("threshold search (16 candidate points) ...");
-        emit(&profiler.time("thresholds", || exp::threshold_search(scale)));
-        progress.step("threshold search done");
-    }
-
-    if !profiler.spans().is_empty() {
-        eprint!("{}", profiler.render_summary(traced_cycles));
-    }
+    eprint!("{}", profiler.render_summary(traced_cycles));
     progress.step("all targets complete");
 }

@@ -5,10 +5,12 @@
 //! memory system. Figures 8–13 normalize to Homogen-DDR3; Figures 14–15
 //! normalize to Heter-App on config1.
 
-use crate::harness::{suite_names, systems_under_test, Scale, SeededPipeline};
+use crate::harness::{suite_names, systems_under_test, Runs, Target};
 use crate::report::{f2, geomean, ratio, Table};
 use moca::classify::ThresholdSearch;
-use moca::pipeline::PolicyKind;
+use moca::pipeline::{Pipeline, Placement, PolicyKind, RunSpec};
+use moca::policy::ConfigurableMocaPolicy;
+use moca_common::par::parallel_map;
 use moca_common::units::format_bytes;
 use moca_dram::DeviceTiming;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
@@ -108,16 +110,41 @@ pub fn table2() -> Table {
     t
 }
 
+/// Declares a generator's runs on the shared pipeline and returns the table
+/// code that reads their results.
+pub type Generator = fn(&mut Pipeline) -> Target;
+
+/// Every generator `repro` drives, in output order, with the targets it
+/// serves. One serving several targets renders one table per target, with
+/// the target's name as the table id; one serving a single target renders
+/// all of its tables for it.
+pub const GENERATORS: [(&[&str], Generator); 13] = [
+    (&["table1"], |_| Target::tables(vec![table1()])),
+    (&["table2"], |_| Target::tables(vec![table2()])),
+    (&["fig1"], |p| Target::tables(vec![fig1(p)])),
+    (&["fig2"], |p| Target::tables(vec![fig2(p)])),
+    (&["fig5"], |p| Target::tables(vec![fig5(p)])),
+    (&["table3"], |p| Target::tables(vec![table3(p)])),
+    (&["fig16"], |p| Target::tables(vec![fig16(p)])),
+    (&["fig8", "fig9"], fig8_fig9),
+    (&["fig10", "fig11", "fig12", "fig13"], fig10_to_13),
+    (&["migration"], migration_study),
+    (&["ablations"], ablations),
+    (&["fig14", "fig15"], fig14_fig15),
+    (&["thresholds"], threshold_search),
+];
+
 /// Fig. 1: application-level LLC MPKI vs ROB-head stall scatter.
-pub fn fig1(sp: &mut SeededPipeline) -> Table {
+pub fn fig1(p: &mut Pipeline) -> Table {
+    p.profile_all(&suite_names());
     let mut t = Table::new(
         "fig1",
         "Application-level memory behaviour (scatter data)",
         &["app", "L2 MPKI", "ROB stall/miss", "class"],
     );
     for name in suite_names() {
-        let lut = sp.pipeline.profile(name).clone();
-        let class = sp.pipeline.classified(name).app_class;
+        let lut = p.profile(name).clone();
+        let class = p.classified(name).app_class;
         t.row(vec![
             name.to_string(),
             f2(lut.app_mpki),
@@ -130,8 +157,9 @@ pub fn fig1(sp: &mut SeededPipeline) -> Table {
 }
 
 /// Fig. 2: object-level scatter for the six applications the paper plots.
-pub fn fig2(sp: &mut SeededPipeline) -> Table {
+pub fn fig2(p: &mut Pipeline) -> Table {
     let apps = ["mcf", "milc", "libquantum", "disparity", "mser", "gcc"];
+    p.profile_all(&apps);
     let mut t = Table::new(
         "fig2",
         "Object-level memory behaviour within applications",
@@ -145,8 +173,8 @@ pub fn fig2(sp: &mut SeededPipeline) -> Table {
         ],
     );
     for app in apps {
-        let lut = sp.pipeline.profile(app).clone();
-        let classes = sp.pipeline.classified(app).object_classes.clone();
+        let lut = p.profile(app).clone();
+        let classes = p.classified(app).object_classes.clone();
         for (o, class) in lut.objects.iter().zip(classes.iter()) {
             t.row(vec![
                 app.to_string(),
@@ -163,8 +191,9 @@ pub fn fig2(sp: &mut SeededPipeline) -> Table {
 }
 
 /// Fig. 5: the classification map actually applied to the suite.
-pub fn fig5(sp: &mut SeededPipeline) -> Table {
-    let thr = sp.pipeline.thresholds;
+pub fn fig5(p: &mut Pipeline) -> Table {
+    p.profile_all(&suite_names());
+    let thr = p.thresholds;
     let mut t = Table::new(
         "fig5",
         "Object classification against (Thr_Lat, Thr_BW)",
@@ -172,7 +201,7 @@ pub fn fig5(sp: &mut SeededPipeline) -> Table {
     );
     let mut counts: HashMap<char, usize> = HashMap::new();
     for app in suite_names() {
-        for &k in &sp.pipeline.classified(app).object_classes {
+        for &k in &p.classified(app).object_classes {
             *counts.entry(k.letter()).or_default() += 1;
         }
     }
@@ -196,14 +225,15 @@ pub fn fig5(sp: &mut SeededPipeline) -> Table {
 }
 
 /// Table III: application classification.
-pub fn table3(sp: &mut SeededPipeline) -> Table {
+pub fn table3(p: &mut Pipeline) -> Table {
+    p.profile_all(&suite_names());
     let mut t = Table::new(
         "table3",
         "Benchmark classification",
         &["app", "measured", "paper"],
     );
     for app in moca_workloads::suite() {
-        let got = sp.pipeline.classified(app.name).app_class;
+        let got = p.classified(app.name).app_class;
         t.row(vec![
             app.name.to_string(),
             got.letter().to_string(),
@@ -217,14 +247,15 @@ pub fn table3(sp: &mut SeededPipeline) -> Table {
 }
 
 /// Fig. 16: stack/code segment MPKI.
-pub fn fig16(sp: &mut SeededPipeline) -> Table {
+pub fn fig16(p: &mut Pipeline) -> Table {
+    p.profile_all(&suite_names());
     let mut t = Table::new(
         "fig16",
         "L2 MPKI of stack and code segments",
         &["app", "stack MPKI", "code MPKI"],
     );
     for name in suite_names() {
-        let lut = sp.pipeline.profile(name).clone();
+        let lut = p.profile(name);
         t.row(vec![
             name.to_string(),
             format!("{:.3}", lut.stack_mpki),
@@ -235,459 +266,445 @@ pub fn fig16(sp: &mut SeededPipeline) -> Table {
     t
 }
 
-/// Shared runner for the six-system comparisons. Returns
-/// `results[system][workload]`.
-fn run_systems(
-    sp: &SeededPipeline,
-    workloads: &[(String, Vec<&'static str>)],
-) -> HashMap<String, HashMap<String, RunResult>> {
-    let mut jobs = Vec::new();
-    for (sys_name, mem, policy) in systems_under_test() {
-        for (wl_name, apps) in workloads {
-            jobs.push((format!("{sys_name}|{wl_name}"), apps.clone(), mem, policy));
-        }
-    }
-    let done = sp.evaluate_all(jobs);
-    let mut out: HashMap<String, HashMap<String, RunResult>> = HashMap::new();
-    for (label, result) in done {
-        let (sys, wl) = label.split_once('|').expect("label format");
-        out.entry(sys.to_string())
-            .or_default()
-            .insert(wl.to_string(), result);
-    }
-    out
+/// Labelled rows of runs: one label per row, the row's runs in column order.
+type Grid = Vec<(String, Vec<RunSpec>)>;
+
+/// Every run of `grid`, row by row.
+fn flat(grid: &Grid) -> Vec<RunSpec> {
+    grid.iter().flat_map(|(_, row)| row.clone()).collect()
 }
 
-fn comparison_tables(
-    id_perf: &str,
-    id_edp: &str,
-    title_perf: &str,
-    title_edp: &str,
-    results: &HashMap<String, HashMap<String, RunResult>>,
-    workloads: &[(String, Vec<&'static str>)],
-) -> (Table, Table) {
-    let systems: Vec<String> = systems_under_test().into_iter().map(|s| s.0).collect();
-    let mut headers: Vec<&str> = vec!["workload"];
-    let sys_refs: Vec<&str> = systems.iter().map(|s| s.as_str()).collect();
-    headers.extend(sys_refs.iter());
-
-    let mut perf = Table::new(id_perf, title_perf, &headers);
-    let mut edp = Table::new(id_edp, title_edp, &headers);
-    let mut per_sys_perf: HashMap<&str, Vec<f64>> = HashMap::new();
-    let mut per_sys_edp: HashMap<&str, Vec<f64>> = HashMap::new();
-
-    for (wl, _) in workloads {
-        let base = &results["Homogen-DDR3"][wl];
-        let base_time = base.mem.total_read_latency_cycles.max(1) as f64;
-        let base_edp = base.mem.edp().max(f64::MIN_POSITIVE);
-        let mut prow = vec![wl.clone()];
-        let mut erow = vec![wl.clone()];
-        for sys in &systems {
-            let r = &results[sys][wl];
-            let p = r.mem.total_read_latency_cycles as f64 / base_time;
-            let e = r.mem.edp() / base_edp;
-            per_sys_perf
-                .entry(sys_name(sys, &systems))
-                .or_default()
-                .push(p);
-            per_sys_edp
-                .entry(sys_name(sys, &systems))
-                .or_default()
-                .push(e);
-            prow.push(ratio(p));
-            erow.push(ratio(e));
-        }
-        perf.row(prow);
-        edp.row(erow);
-    }
-    let mut prow = vec!["geomean".to_string()];
-    let mut erow = vec!["geomean".to_string()];
-    for sys in &systems {
-        prow.push(ratio(geomean(&per_sys_perf[sys.as_str()])));
-        erow.push(ratio(geomean(&per_sys_edp[sys.as_str()])));
-    }
-    perf.row(prow);
-    edp.row(erow);
-    perf.note("total memory access time, normalized to Homogen-DDR3 (lower is better)");
-    edp.note("memory energy-delay product, normalized to Homogen-DDR3 (lower is better)");
-    (perf, edp)
+/// One of Figs. 8–13: `metric` of every workload on every system of
+/// [`systems_under_test`], normalized per workload to Homogen-DDR3 (its
+/// value floored at `floor`), with a geomean row.
+struct SystemFigure {
+    id: &'static str,
+    title: &'static str,
+    metric: fn(&RunResult) -> f64,
+    floor: f64,
+    notes: [&'static str; 2],
 }
 
-fn sys_name<'a>(s: &str, systems: &'a [String]) -> &'a str {
-    systems
+impl SystemFigure {
+    fn render(&self, grid: &Grid, runs: &Runs) -> Table {
+        let systems: Vec<String> = systems_under_test().into_iter().map(|s| s.0).collect();
+        let mut headers = vec!["workload"];
+        headers.extend(systems.iter().map(String::as_str));
+        let mut t = Table::new(self.id, self.title, &headers);
+        let mut per_sys: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
+        for (wl, row) in grid {
+            let base = (self.metric)(&runs[&row[0]]).max(self.floor);
+            let mut cells = vec![wl.clone()];
+            for (acc, spec) in per_sys.iter_mut().zip(row) {
+                let x = (self.metric)(&runs[spec]) / base;
+                acc.push(x);
+                cells.push(ratio(x));
+            }
+            t.row(cells);
+        }
+        let mut cells = vec!["geomean".to_string()];
+        cells.extend(per_sys.iter().map(|v| ratio(geomean(v))));
+        t.row(cells);
+        for n in self.notes {
+            t.note(n);
+        }
+        t
+    }
+}
+
+/// Each workload's runs on the six systems, rendered as `figures`.
+fn system_figures(
+    p: &mut Pipeline,
+    workloads: &[(&str, &[&str])],
+    figures: &'static [SystemFigure],
+) -> Target {
+    p.profile_all(&suite_names());
+    let systems = systems_under_test();
+    let grid: Grid = workloads
         .iter()
-        .find(|x| x.as_str() == s)
-        .expect("known system")
+        .map(|&(name, apps)| {
+            let row = systems
+                .iter()
+                .map(|&(_, mem, policy)| p.resolve(apps, mem, policy))
+                .collect();
+            (name.to_string(), row)
+        })
+        .collect();
+    Target::new(flat(&grid), move |runs| {
+        figures.iter().map(|f| f.render(&grid, runs)).collect()
+    })
 }
+
+fn mem_time(r: &RunResult) -> f64 {
+    r.mem.total_read_latency_cycles as f64
+}
+
+const TIME_NOTE: &str = "total memory access time, normalized to Homogen-DDR3 (lower is better)";
+const EDP_NOTE: &str = "memory energy-delay product, normalized to Homogen-DDR3 (lower is better)";
 
 /// Figs. 8 and 9: single-core memory access time and memory EDP across the
 /// six memory systems.
-pub fn fig8_fig9(sp: &SeededPipeline) -> (Table, Table) {
-    let workloads: Vec<(String, Vec<&'static str>)> = suite_names()
-        .into_iter()
-        .map(|n| (n.to_string(), vec![n]))
+pub fn fig8_fig9(p: &mut Pipeline) -> Target {
+    const FIGURES: [SystemFigure; 2] = [
+        SystemFigure {
+            id: "fig8",
+            title: "Single-core normalized memory access time",
+            metric: mem_time,
+            floor: 1.0,
+            notes: [
+                TIME_NOTE,
+                "paper: MOCA reduces access time by ~51% vs DDR3, ~14% vs Heter-App on average",
+            ],
+        },
+        SystemFigure {
+            id: "fig9",
+            title: "Single-core normalized memory EDP",
+            metric: |r| r.mem.edp(),
+            floor: f64::MIN_POSITIVE,
+            notes: [
+                EDP_NOTE,
+                "paper: MOCA reduces memory EDP by ~43% vs DDR3, ~15% vs Heter-App on average",
+            ],
+        },
+    ];
+    let names = suite_names();
+    let workloads: Vec<(&str, &[&str])> = names
+        .iter()
+        .map(|n| (*n, std::slice::from_ref(n)))
         .collect();
-    let results = run_systems(sp, &workloads);
-    let (mut perf, mut edp) = comparison_tables(
-        "fig8",
-        "fig9",
-        "Single-core normalized memory access time",
-        "Single-core normalized memory EDP",
-        &results,
-        &workloads,
-    );
-    perf.note("paper: MOCA reduces access time by ~51% vs DDR3, ~14% vs Heter-App on average");
-    edp.note("paper: MOCA reduces memory EDP by ~43% vs DDR3, ~15% vs Heter-App on average");
-    (perf, edp)
+    system_figures(p, &workloads, &FIGURES)
 }
 
 /// Figs. 10–13: multicore memory access time, memory EDP, system
 /// performance, and system EDP over the ten multi-program sets.
-pub fn fig10_to_13(sp: &SeededPipeline) -> (Table, Table, Table, Table) {
-    let workloads: Vec<(String, Vec<&'static str>)> = multiprogram_sets()
-        .into_iter()
-        .map(|s| (s.name.to_string(), s.apps.to_vec()))
-        .collect();
-    let results = run_systems(sp, &workloads);
-    let (mut f10, mut f11) = comparison_tables(
-        "fig10",
-        "fig11",
-        "Multicore normalized memory access time (multi-program)",
-        "Multicore normalized memory EDP (multi-program)",
-        &results,
-        &workloads,
-    );
-    f10.note("paper: MOCA reduces memory access time by ~26% vs Heter-App");
-    f11.note("paper: MOCA improves memory EDP by up to 63% vs DDR3, ~33% vs Heter-App");
-
-    // System-level: throughput (higher is better) and system EDP.
-    let systems: Vec<String> = systems_under_test().into_iter().map(|s| s.0).collect();
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(systems.iter().map(|s| s.as_str()));
-    let mut f12 = Table::new("fig12", "Multicore normalized system performance", &headers);
-    let mut f13 = Table::new("fig13", "Multicore normalized system EDP", &headers);
-    let mut acc12: HashMap<&str, Vec<f64>> = HashMap::new();
-    let mut acc13: HashMap<&str, Vec<f64>> = HashMap::new();
-    for (wl, _) in &workloads {
-        let base = &results["Homogen-DDR3"][wl];
-        let base_ipc = base.system_ipc().max(f64::MIN_POSITIVE);
-        let base_edp = base.system_edp().max(f64::MIN_POSITIVE);
-        let mut r12 = vec![wl.clone()];
-        let mut r13 = vec![wl.clone()];
-        for sys in &systems {
-            let r = &results[sys][wl];
-            let p = r.system_ipc() / base_ipc;
-            let e = r.system_edp() / base_edp;
-            acc12.entry(sys_name(sys, &systems)).or_default().push(p);
-            acc13.entry(sys_name(sys, &systems)).or_default().push(e);
-            r12.push(ratio(p));
-            r13.push(ratio(e));
-        }
-        f12.row(r12);
-        f13.row(r13);
-    }
-    let mut r12 = vec!["geomean".to_string()];
-    let mut r13 = vec!["geomean".to_string()];
-    for sys in &systems {
-        r12.push(ratio(geomean(&acc12[sys.as_str()])));
-        r13.push(ratio(geomean(&acc13[sys.as_str()])));
-    }
-    f12.row(r12);
-    f13.row(r13);
-    f12.note(
-        "aggregate committed instructions per cycle, normalized to Homogen-DDR3 (higher is better)",
-    );
-    f12.note("paper: MOCA within ~10% of the best homogeneous system; +10% vs Heter-App");
-    f13.note("(core + memory) energy × runtime, normalized to Homogen-DDR3 (lower is better)");
-    f13.note("paper: MOCA improves system EDP by up to 15% vs DDR3");
-    (f10, f11, f12, f13)
+pub fn fig10_to_13(p: &mut Pipeline) -> Target {
+    const FIGURES: [SystemFigure; 4] = [
+        SystemFigure {
+            id: "fig10",
+            title: "Multicore normalized memory access time (multi-program)",
+            metric: mem_time,
+            floor: 1.0,
+            notes: [
+                TIME_NOTE,
+                "paper: MOCA reduces memory access time by ~26% vs Heter-App",
+            ],
+        },
+        SystemFigure {
+            id: "fig11",
+            title: "Multicore normalized memory EDP (multi-program)",
+            metric: |r| r.mem.edp(),
+            floor: f64::MIN_POSITIVE,
+            notes: [
+                EDP_NOTE,
+                "paper: MOCA improves memory EDP by up to 63% vs DDR3, ~33% vs Heter-App",
+            ],
+        },
+        SystemFigure {
+            id: "fig12",
+            title: "Multicore normalized system performance",
+            metric: RunResult::system_ipc,
+            floor: f64::MIN_POSITIVE,
+            notes: [
+                "aggregate committed instructions per cycle, normalized to Homogen-DDR3 (higher is better)",
+                "paper: MOCA within ~10% of the best homogeneous system; +10% vs Heter-App",
+            ],
+        },
+        SystemFigure {
+            id: "fig13",
+            title: "Multicore normalized system EDP",
+            metric: RunResult::system_edp,
+            floor: f64::MIN_POSITIVE,
+            notes: [
+                "(core + memory) energy × runtime, normalized to Homogen-DDR3 (lower is better)",
+                "paper: MOCA improves system EDP by up to 15% vs DDR3",
+            ],
+        },
+    ];
+    let sets = multiprogram_sets();
+    let workloads: Vec<(&str, &[&str])> = sets.iter().map(|s| (s.name, &s.apps[..])).collect();
+    system_figures(p, &workloads, &FIGURES)
 }
 
 /// Figs. 14 and 15: Heter-App vs MOCA across heterogeneous configurations
 /// 1–3 for the five sweep workload sets, normalized to Heter-App on config1.
-pub fn fig14_fig15(sp: &SeededPipeline) -> (Table, Table) {
+pub fn fig14_fig15(p: &mut Pipeline) -> Target {
+    p.profile_all(&suite_names());
     let configs = [
         ("config1", HeterogeneousLayout::config1()),
         ("config2", HeterogeneousLayout::config2()),
         ("config3", HeterogeneousLayout::config3()),
     ];
-    let sets = config_sweep_sets();
-    let mut jobs = Vec::new();
-    for set in &sets {
-        for (cname, layout) in configs {
-            for policy in [PolicyKind::HeterApp, PolicyKind::Moca] {
-                jobs.push((
-                    format!("{}|{}|{}", set.name, cname, policy.label()),
-                    set.apps.to_vec(),
-                    MemSystemConfig::Heterogeneous(layout),
-                    policy,
-                ));
+    // One row per set: (Heter-App, MOCA) on each configuration in turn.
+    let grid: Grid = config_sweep_sets()
+        .iter()
+        .map(|set| {
+            let mut row = Vec::new();
+            for (_, layout) in configs {
+                for policy in [PolicyKind::HeterApp, PolicyKind::Moca] {
+                    row.push(p.resolve(&set.apps, MemSystemConfig::Heterogeneous(layout), policy));
+                }
+            }
+            (set.name.to_string(), row)
+        })
+        .collect();
+    Target::new(flat(&grid), move |runs| {
+        let headers = ["set", "config", "Heter-App time", "MOCA time"];
+        let mut f14 = Table::new(
+            "fig14",
+            "Normalized memory access time across heterogeneous configurations",
+            &headers,
+        );
+        let mut f15 = Table::new(
+            "fig15",
+            "Normalized memory EDP across heterogeneous configurations",
+            &["set", "config", "Heter-App EDP", "MOCA EDP"],
+        );
+        for (set, row) in &grid {
+            let base = &runs[&row[0]];
+            for ((cname, _), pair) in configs.iter().zip(row.chunks(2)) {
+                let [ha_time, ha_edp, _] = relative(&runs[&pair[0]], base);
+                let [mo_time, mo_edp, _] = relative(&runs[&pair[1]], base);
+                f14.row(vec![set.clone(), cname.to_string(), ha_time, mo_time]);
+                f15.row(vec![set.clone(), cname.to_string(), ha_edp, mo_edp]);
             }
         }
-    }
-    let done: HashMap<String, RunResult> = sp.evaluate_all(jobs).into_iter().collect();
-
-    let headers = ["set", "config", "Heter-App time", "MOCA time"];
-    let mut f14 = Table::new(
-        "fig14",
-        "Normalized memory access time across heterogeneous configurations",
-        &headers,
-    );
-    let mut f15 = Table::new(
-        "fig15",
-        "Normalized memory EDP across heterogeneous configurations",
-        &["set", "config", "Heter-App EDP", "MOCA EDP"],
-    );
-    for set in &sets {
-        let base = &done[&format!("{}|config1|Heter-App", set.name)];
-        let bt = base.mem.total_read_latency_cycles.max(1) as f64;
-        let be = base.mem.edp().max(f64::MIN_POSITIVE);
-        for (cname, _) in configs {
-            let ha = &done[&format!("{}|{}|Heter-App", set.name, cname)];
-            let mo = &done[&format!("{}|{}|MOCA", set.name, cname)];
-            f14.row(vec![
-                set.name.to_string(),
-                cname.to_string(),
-                ratio(ha.mem.total_read_latency_cycles as f64 / bt),
-                ratio(mo.mem.total_read_latency_cycles as f64 / bt),
-            ]);
-            f15.row(vec![
-                set.name.to_string(),
-                cname.to_string(),
-                ratio(ha.mem.edp() / be),
-                ratio(mo.mem.edp() / be),
-            ]);
-        }
-    }
-    f14.note("normalized to Heter-App on config1 per set (lower is better)");
-    f14.note("paper: MOCA wins on config1 (small RLDRAM, heavy contention); Heter-App catches up as RLDRAM grows");
-    f15.note("paper: MOCA keeps the EDP advantage on config2/3 because it avoids filling the larger RLDRAM with cold objects");
-    (f14, f15)
+        f14.note("normalized to Heter-App on config1 per set (lower is better)");
+        f14.note("paper: MOCA wins on config1 (small RLDRAM, heavy contention); Heter-App catches up as RLDRAM grows");
+        f15.note("paper: MOCA keeps the EDP advantage on config2/3 because it avoids filling the larger RLDRAM with cold objects");
+        vec![f14, f15]
+    })
 }
 
 /// Extension study: MOCA (offline classification, allocation-only) vs the
 /// dynamic page-migration alternative it is contrasted with in §IV-E
 /// (runtime monitoring + epoch-based promotion, paying copy/invalidate/
 /// TLB-shootdown costs).
-pub fn migration_study(sp: &SeededPipeline) -> Table {
+pub fn migration_study(p: &mut Pipeline) -> Target {
+    p.profile_all(&suite_names());
     let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
-    let sets: Vec<(&str, Vec<&'static str>)> = vec![
-        ("disparity", vec!["disparity"]),
-        ("3L1B", vec!["mcf", "milc", "disparity", "lbm"]),
-        ("2B2N", vec!["lbm", "tracking", "gcc", "sift"]),
+    let policies = [
+        PolicyKind::HeterApp,
+        PolicyKind::Moca,
+        PolicyKind::Migration,
     ];
-    let mut jobs = Vec::new();
-    for (name, apps) in &sets {
-        for policy in [
-            PolicyKind::HeterApp,
-            PolicyKind::Moca,
-            PolicyKind::Migration,
-        ] {
-            jobs.push((
-                format!("{name}|{}", policy.label()),
-                apps.clone(),
-                heter,
-                policy,
+    let sets: [(&str, &[&str]); 3] = [
+        ("disparity", &["disparity"]),
+        ("3L1B", &["mcf", "milc", "disparity", "lbm"]),
+        ("2B2N", &["lbm", "tracking", "gcc", "sift"]),
+    ];
+    let grid: Grid = sets
+        .iter()
+        .map(|&(name, apps)| {
+            let row = policies
+                .iter()
+                .map(|&k| p.resolve(apps, heter, k))
+                .collect();
+            (name.to_string(), row)
+        })
+        .collect();
+    Target::new(flat(&grid), move |runs| {
+        let mut t = Table::new(
+            "migration",
+            "Allocation-only MOCA vs dynamic page migration (§IV-E contrast)",
+            &[
+                "workload",
+                "policy",
+                "mem time",
+                "mem EDP",
+                "sys perf",
+                "migrations",
+            ],
+        );
+        for (name, row) in &grid {
+            for (policy, spec) in policies.iter().zip(row) {
+                let r = &runs[spec];
+                let mut cells = vec![name.clone(), policy.label().to_string()];
+                cells.extend(relative(r, &runs[&row[0]]));
+                cells.push(
+                    r.migration
+                        .map(|m| format!("{} (+{} dirty wb)", m.promotions, m.dirty_writebacks))
+                        .unwrap_or_else(|| "-".to_string()),
+                );
+                t.row(cells);
+            }
+        }
+        t.note("normalized to Heter-App per workload; Heter-Migrate starts cold in LPDDR2 and promotes by runtime heat");
+        t.note("MOCA reaches its placement with zero runtime monitoring or copy traffic (§IV-E)");
+        vec![t]
+    })
+}
+
+/// Memory access time, memory EDP and system throughput of `r`, each
+/// relative to `base` (whose value is floored away from zero).
+fn relative(r: &RunResult, base: &RunResult) -> [String; 3] {
+    [
+        ratio(mem_time(r) / mem_time(base).max(1.0)),
+        ratio(r.mem.edp() / base.mem.edp().max(f64::MIN_POSITIVE)),
+        ratio(r.system_ipc() / base.system_ipc().max(f64::MIN_POSITIVE)),
+    ]
+}
+
+/// One row per variant, each relative to the first (the paper's choice).
+fn variant_table(id: &str, title: &str, variants: &Grid, runs: &Runs, note: &str) -> Table {
+    let mut t = Table::new(id, title, &["variant", "mem time", "mem EDP", "sys perf"]);
+    for (name, row) in variants {
+        let mut cells = vec![name.clone()];
+        cells.extend(relative(&runs[&row[0]], &runs[&variants[0].1[0]]));
+        t.row(cells);
+    }
+    t.note(note);
+    t
+}
+
+/// The design ablations, one table each:
+/// 1. the fallback priority lists of §IV-D — the paper's orders against
+///    two plausible alternatives on a contended workload;
+/// 2. §VI-D's static LPDDR2 placement of stack/code segments;
+/// 3. whether the MOCA-vs-Heter-App comparison survives the footprint
+///    scale (the one knob this reproduction adds over the paper), at quick
+///    lengths on a pipeline of its own per scale.
+pub fn ablations(p: &mut Pipeline) -> Target {
+    use moca_common::ModuleKind::{Ddr3, Hbm, Lpddr2, Rldram3};
+    use moca_common::ObjectClass;
+    p.profile_all(&suite_names());
+    let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
+    let paper = ConfigurableMocaPolicy::default;
+    let mut variants = |apps: &[&str], policies: Vec<(&str, ConfigurableMocaPolicy)>| -> Grid {
+        let mut grid = Grid::new();
+        for (name, policy) in policies {
+            grid.push((
+                name.to_string(),
+                vec![p.resolve(apps, heter, Placement::Custom(policy))],
             ));
         }
-    }
-    let done: HashMap<String, RunResult> = sp.evaluate_all(jobs).into_iter().collect();
-    let mut t = Table::new(
-        "migration",
-        "Allocation-only MOCA vs dynamic page migration (§IV-E contrast)",
-        &[
-            "workload",
-            "policy",
-            "mem time",
-            "mem EDP",
-            "sys perf",
-            "migrations",
+        grid
+    };
+    // 3L1B: heavy RLDRAM contention.
+    let fallback = variants(
+        &["mcf", "milc", "disparity", "lbm"],
+        vec![
+            ("paper (BW→LP)", paper()),
+            (
+                "BW overflow → RLDRAM first",
+                ConfigurableMocaPolicy {
+                    bw_order: [Hbm, Rldram3, Lpddr2, Ddr3],
+                    ..paper()
+                },
+            ),
+            (
+                "Lat overflow → LPDDR first",
+                ConfigurableMocaPolicy {
+                    lat_order: [Rldram3, Lpddr2, Hbm, Ddr3],
+                    ..paper()
+                },
+            ),
         ],
     );
-    for (name, _) in &sets {
-        let base = &done[&format!("{name}|Heter-App")];
-        let bt = base.mem.total_read_latency_cycles.max(1) as f64;
-        let be = base.mem.edp().max(f64::MIN_POSITIVE);
-        let bp = base.system_ipc().max(f64::MIN_POSITIVE);
-        for policy in ["Heter-App", "MOCA", "Heter-Migrate"] {
-            let r = &done[&format!("{name}|{policy}")];
-            let moves = r
-                .migration
-                .map(|m| format!("{} (+{} dirty wb)", m.promotions, m.dirty_writebacks))
-                .unwrap_or_else(|| "-".to_string());
-            t.row(vec![
-                name.to_string(),
-                policy.to_string(),
-                ratio(r.mem.total_read_latency_cycles as f64 / bt),
-                ratio(r.mem.edp() / be),
-                ratio(r.system_ipc() / bp),
-                moves,
-            ]);
+    // 3L1N.
+    let segments = variants(
+        &["mcf", "milc", "libquantum", "gcc"],
+        [
+            ("segments → LPDDR2 (paper)", ObjectClass::NonIntensive),
+            ("segments → RLDRAM", ObjectClass::LatencySensitive),
+            ("segments → HBM", ObjectClass::BandwidthSensitive),
+        ]
+        .into_iter()
+        .map(|(name, segment_class)| {
+            let policy = ConfigurableMocaPolicy {
+                segment_class,
+                ..paper()
+            };
+            (name, policy)
+        })
+        .collect(),
+    );
+    let scales: Grid = parallel_map(&[32u64, 64, 128], |&denom| {
+        let mut q = Pipeline::quick();
+        q.profile_cfg.capacity_scale = 1.0 / denom as f64;
+        let pair = [PolicyKind::HeterApp, PolicyKind::Moca]
+            .map(|k| q.resolve(&["disparity"], heter, k))
+            .to_vec();
+        (format!("1/{denom}"), pair)
+    });
+    let specs = [flat(&fallback), flat(&segments), flat(&scales)].concat();
+    Target::new(specs, move |runs| {
+        let mut t = Table::new(
+            "ablation-scale",
+            "Footprint/capacity scale sensitivity (disparity, MOCA vs Heter-App)",
+            &["scale", "Heter-App time", "MOCA time", "MOCA/HA EDP"],
+        );
+        for (scale, pair) in &scales {
+            let [time, edp, _] = relative(&runs[&pair[1]], &runs[&pair[0]]);
+            t.row(vec![scale.clone(), ratio(1.0), time, edp]);
         }
-    }
-    t.note("normalized to Heter-App per workload; Heter-Migrate starts cold in LPDDR2 and promotes by runtime heat");
-    t.note("MOCA reaches its placement with zero runtime monitoring or copy traffic (§IV-E)");
-    t
-}
-
-/// Ablation 1: the fallback priority lists of §IV-D. Compares the paper's
-/// orders against two plausible alternatives on a contended workload.
-pub fn ablation_fallback(sp: &SeededPipeline) -> Table {
-    use moca::policy::ConfigurableMocaPolicy;
-    use moca_common::ModuleKind::{Ddr3, Hbm, Lpddr2, Rldram3};
-    let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
-    let workload = ["mcf", "milc", "disparity", "lbm"]; // 3L1B, heavy RL contention
-    let variants: Vec<(&str, ConfigurableMocaPolicy)> = vec![
-        ("paper (BW→LP)", ConfigurableMocaPolicy::default()),
-        (
-            "BW overflow → RLDRAM first",
-            ConfigurableMocaPolicy {
-                bw_order: [Hbm, Rldram3, Lpddr2, Ddr3],
-                ..ConfigurableMocaPolicy::default()
-            },
-        ),
-        (
-            "Lat overflow → LPDDR first",
-            ConfigurableMocaPolicy {
-                lat_order: [Rldram3, Lpddr2, Hbm, Ddr3],
-                ..ConfigurableMocaPolicy::default()
-            },
-        ),
-    ];
-    let mut t = Table::new(
-        "ablation-fallback",
-        "Fallback-order ablation (3L1B on config1, normalized to the paper's orders)",
-        &["variant", "mem time", "mem EDP", "sys perf"],
-    );
-    let mut base: Option<(f64, f64, f64)> = None;
-    for (name, policy) in variants {
-        let mut p = sp.pipeline.clone();
-        let r = p.evaluate_custom(&workload, heter, Box::new(policy), true);
-        let time = r.mem.total_read_latency_cycles as f64;
-        let edp = r.mem.edp();
-        let perf = r.system_ipc();
-        let (bt, be, bp) = *base.get_or_insert((time, edp, perf));
-        t.row(vec![
-            name.to_string(),
-            ratio(time / bt),
-            ratio(edp / be),
-            ratio(perf / bp),
-        ]);
-    }
-    t.note("§IV-D gives each class a priority list; the paper's choice ('next best for HBM is LPDDR') trades a little bandwidth latency for RLDRAM headroom");
-    t
-}
-
-/// Ablation 2: §VI-D's static LPDDR2 placement of stack/code segments.
-pub fn ablation_segments(sp: &SeededPipeline) -> Table {
-    use moca::policy::ConfigurableMocaPolicy;
-    use moca_common::ObjectClass;
-    let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
-    let workload = ["mcf", "milc", "libquantum", "gcc"]; // 3L1N
-    let variants = [
-        ("segments → LPDDR2 (paper)", ObjectClass::NonIntensive),
-        ("segments → RLDRAM", ObjectClass::LatencySensitive),
-        ("segments → HBM", ObjectClass::BandwidthSensitive),
-    ];
-    let mut t = Table::new(
-        "ablation-segments",
-        "Stack/code segment placement ablation (3L1N on config1)",
-        &["variant", "mem time", "mem EDP", "sys perf"],
-    );
-    let mut base: Option<(f64, f64, f64)> = None;
-    for (name, class) in variants {
-        let policy = ConfigurableMocaPolicy {
-            segment_class: class,
-            ..ConfigurableMocaPolicy::default()
-        };
-        let mut p = sp.pipeline.clone();
-        let r = p.evaluate_custom(&workload, heter, Box::new(policy), true);
-        let time = r.mem.total_read_latency_cycles as f64;
-        let edp = r.mem.edp();
-        let perf = r.system_ipc();
-        let (bt, be, bp) = *base.get_or_insert((time, edp, perf));
-        t.row(vec![
-            name.to_string(),
-            ratio(time / bt),
-            ratio(edp / be),
-            ratio(perf / bp),
-        ]);
-    }
-    t.note("Fig. 16: stack/code cache so well that fast-module placement buys nothing while consuming RLDRAM/HBM frames");
-    t
-}
-
-/// Ablation 3: does the MOCA-vs-Heter-App comparison survive the footprint
-/// scale (the one knob this reproduction adds over the paper)?
-pub fn ablation_scale() -> Table {
-    use moca::pipeline::Pipeline;
-    let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
-    let workload = ["disparity"];
-    let mut t = Table::new(
-        "ablation-scale",
-        "Footprint/capacity scale sensitivity (disparity, MOCA vs Heter-App)",
-        &["scale", "Heter-App time", "MOCA time", "MOCA/HA EDP"],
-    );
-    for denom in [32u64, 64, 128] {
-        let mut p = Pipeline::quick();
-        p.profile_cfg.capacity_scale = 1.0 / denom as f64;
-        let ha = p.evaluate(&workload, heter, PolicyKind::HeterApp);
-        let mo = p.evaluate(&workload, heter, PolicyKind::Moca);
-        let bt = ha.mem.total_read_latency_cycles.max(1) as f64;
-        t.row(vec![
-            format!("1/{denom}"),
-            ratio(1.0),
-            ratio(mo.mem.total_read_latency_cycles as f64 / bt),
-            ratio(mo.mem.edp() / ha.mem.edp().max(f64::MIN_POSITIVE)),
-        ]);
-    }
-    t.note("the contention ratios (and therefore who wins) are preserved across scales — the scaling substitution is sound");
-    t
+        t.note("the contention ratios (and therefore who wins) are preserved across scales — the scaling substitution is sound");
+        vec![
+            variant_table(
+                "ablation-fallback",
+                "Fallback-order ablation (3L1B on config1, normalized to the paper's orders)",
+                &fallback,
+                runs,
+                "§IV-D gives each class a priority list; the paper's choice ('next best for HBM is LPDDR') trades a little bandwidth latency for RLDRAM headroom",
+            ),
+            variant_table(
+                "ablation-segments",
+                "Stack/code segment placement ablation (3L1N on config1)",
+                &segments,
+                runs,
+                "Fig. 16: stack/code cache so well that fast-module placement buys nothing while consuming RLDRAM/HBM frames",
+            ),
+            t,
+        ]
+    })
 }
 
 /// §IV-C ablation: empirical threshold search on a validation workload.
-pub fn threshold_search(scale: Scale) -> Table {
-    let sp = SeededPipeline::new(scale);
+/// Each candidate re-classifies the workload's profiles; candidates that
+/// classify every object alike resolve to the same run.
+pub fn threshold_search(p: &mut Pipeline) -> Target {
     let search = ThresholdSearch::default();
     let heter = MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1());
     // Validation workload: one app per class.
     let workload = ["mcf", "lbm", "gcc"];
-    let mut rows = Vec::new();
-    let (best, _all) = search.run(|thr| {
-        let mut p = sp.pipeline.clone();
-        p.thresholds = thr;
-        // Re-classify with the candidate thresholds (profiles are reused).
-        let luts: Vec<_> = workload.iter().map(|a| p.profile(a).clone()).collect();
-        for lut in luts {
-            p.insert_profile(lut);
+    p.profile_all(&workload);
+    let specs: Vec<RunSpec> = search
+        .candidates()
+        .into_iter()
+        .map(|thr| {
+            let mut candidate = p.clone();
+            candidate.thresholds = thr;
+            for app in workload {
+                candidate.insert_profile(p.profile(app).clone());
+            }
+            candidate.resolve(&workload, heter, PolicyKind::Moca)
+        })
+        .collect();
+    Target::new(specs.clone(), move |runs| {
+        let mut edps = specs.iter().map(|s| runs[s].mem.edp());
+        let (best, rows) = search.run(|_| edps.next().expect("one run per candidate"));
+        let mut t = Table::new(
+            "threshold-search",
+            "§IV-C empirical threshold calibration (memory EDP per candidate)",
+            &["Thr_Lat", "Thr_BW", "memory EDP (J*s)", "best"],
+        );
+        for (thr, score) in rows {
+            t.row(vec![
+                format!("{}", thr.thr_lat),
+                format!("{}", thr.thr_bw),
+                format!("{score:.3e}"),
+                if thr == best {
+                    "<-".into()
+                } else {
+                    String::new()
+                },
+            ]);
         }
-        let r = p.evaluate(&workload, heter, PolicyKind::Moca);
-        let score = r.mem.edp();
-        rows.push((thr, score));
-        score
-    });
-    let mut t = Table::new(
-        "threshold-search",
-        "§IV-C empirical threshold calibration (memory EDP per candidate)",
-        &["Thr_Lat", "Thr_BW", "memory EDP (J*s)", "best"],
-    );
-    for (thr, score) in rows {
-        t.row(vec![
-            format!("{}", thr.thr_lat),
-            format!("{}", thr.thr_bw),
-            format!("{score:.3e}"),
-            if thr == best {
-                "<-".into()
-            } else {
-                String::new()
-            },
-        ]);
-    }
-    t.note(format!(
-        "selected thresholds: Thr_Lat={}, Thr_BW={} (platform default: 1, 10)",
-        best.thr_lat, best.thr_bw
-    ));
-    t
+        t.note(format!(
+            "selected thresholds: Thr_Lat={}, Thr_BW={} (platform default: 1, 10)",
+            best.thr_lat, best.thr_bw
+        ));
+        vec![t]
+    })
 }
 
 #[cfg(test)]

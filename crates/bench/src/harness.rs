@@ -1,13 +1,16 @@
 //! Shared experiment plumbing: run-length scales, the memory systems under
-//! comparison, and a seeded pipeline that profiles each benchmark once.
+//! comparison, and the run plan that simulates each distinct run once.
 
-use moca::pipeline::{Pipeline, PolicyKind};
-use moca::profile::{profile_app, ProfileConfig};
-use moca_common::par::{parallel_map, parallel_map_owned};
+use crate::report::Table;
+use moca::pipeline::{Pipeline, PolicyKind, RunSpec};
+use moca_common::par::{parallel_map, resolve_jobs};
 use moca_common::ModuleKind;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_sim::metrics::RunResult;
-use moca_workloads::{app_by_name, suite, InputSet};
+use moca_telemetry::Telemetry;
+use moca_workloads::{app_by_name, suite};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Experiment run-length scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,57 +60,74 @@ pub fn systems_under_test() -> Vec<(String, MemSystemConfig, PolicyKind)> {
     ]
 }
 
-/// A pipeline pre-seeded with profiles for every suite benchmark (profiled
-/// in parallel when worker threads are available).
-pub struct SeededPipeline {
-    /// The underlying pipeline, ready for `evaluate` calls.
-    pub pipeline: Pipeline,
+/// Results of a plan, keyed by the spec of the run each came from.
+pub type Runs = BTreeMap<RunSpec, RunResult>;
+
+/// Table code that reads a plan's results.
+type Render = Box<dyn FnOnce(&Runs) -> Vec<Table>>;
+
+/// One generator's declared runs, and the table code that reads their
+/// results from the plan's [`Runs`].
+pub struct Target {
+    /// Every run the tables read, in declaration order; repeats allowed.
+    pub specs: Vec<RunSpec>,
+    render: Render,
 }
 
-impl SeededPipeline {
-    /// Profile the whole suite at `scale` and the default footprint scale
-    /// (1/64).
-    pub fn new(scale: Scale) -> SeededPipeline {
-        SeededPipeline::new_scaled(scale, moca_workloads::spec::DEFAULT_FOOTPRINT_SCALE)
-    }
-
-    /// Profile the whole suite at `scale` with an explicit
-    /// footprint/capacity scale in `(0, 1]` — `1.0` runs paper-sized
-    /// footprints on full-capacity machines (the regime the bitmap frame
-    /// allocator exists for).
-    pub fn new_scaled(scale: Scale, capacity_scale: f64) -> SeededPipeline {
-        assert!(
-            capacity_scale > 0.0 && capacity_scale <= 1.0,
-            "capacity scale {capacity_scale} outside (0, 1]"
-        );
-        let mut pipeline = scale.pipeline();
-        pipeline.profile_cfg.capacity_scale = capacity_scale;
-        let cfg: ProfileConfig = pipeline.profile_cfg;
-        let luts = parallel_map(&suite(), |spec| {
-            profile_app(spec, InputSet::training(), &cfg)
-        });
-        for lut in luts {
-            pipeline.insert_profile(lut);
+impl Target {
+    /// Tables over `specs`, rendered once the plan has run.
+    pub(crate) fn new(
+        specs: Vec<RunSpec>,
+        render: impl FnOnce(&Runs) -> Vec<Table> + 'static,
+    ) -> Target {
+        Target {
+            specs,
+            render: Box::new(render),
         }
-        SeededPipeline { pipeline }
     }
 
-    /// Evaluate one workload on one system. Clones the seeded pipeline so
-    /// callers can fan evaluations out across threads.
-    pub fn evaluate(&self, apps: &[&str], mem: MemSystemConfig, policy: PolicyKind) -> RunResult {
-        let mut p = self.pipeline.clone();
-        p.evaluate(apps, mem, policy)
+    /// Tables that need no simulation.
+    pub(crate) fn tables(tables: Vec<Table>) -> Target {
+        Target::new(Vec::new(), move |_| tables)
     }
 
-    /// Evaluate many (label, apps, mem, policy) jobs in parallel.
-    pub fn evaluate_all(
-        &self,
-        jobs: Vec<(String, Vec<&str>, MemSystemConfig, PolicyKind)>,
-    ) -> Vec<(String, RunResult)> {
-        parallel_map_owned(jobs, |(label, apps, mem, policy)| {
-            let r = self.evaluate(&apps, mem, policy);
-            (label, r)
-        })
+    /// Render the tables from the plan's results.
+    pub fn render(self, runs: &Runs) -> Vec<Table> {
+        (self.render)(runs)
+    }
+}
+
+/// Every run the selected targets declared, deduplicated: each distinct
+/// spec is simulated once, longest first, over one queue on the worker
+/// threads.
+pub struct Plan {
+    /// Runs declared, repeats included.
+    pub declared: usize,
+    /// The distinct runs, longest first.
+    pub queue: Vec<RunSpec>,
+}
+
+impl Plan {
+    /// Plan `specs`, in any order and with any repeats.
+    pub fn new<'a>(specs: impl IntoIterator<Item = &'a RunSpec>) -> Plan {
+        let mut declared = 0;
+        let distinct: BTreeSet<&RunSpec> = specs.into_iter().inspect(|_| declared += 1).collect();
+        let mut queue: Vec<RunSpec> = distinct.into_iter().cloned().collect();
+        // Cost is simulated length, cores × (warmup + measured
+        // instructions); the sort is stable, so ties keep the specs' order.
+        queue.sort_by_key(|s| Reverse(s.apps.len() as u64 * (s.warmup + s.instrs)));
+        Plan { declared, queue }
+    }
+
+    /// Worker threads the queue runs on.
+    pub fn workers(&self) -> usize {
+        resolve_jobs(None).min(self.queue.len()).max(1)
+    }
+
+    /// Simulate every distinct run.
+    pub fn run(self) -> Runs {
+        let results = parallel_map(&self.queue, |s| s.evaluate(Telemetry::disabled(), false).0);
+        self.queue.into_iter().zip(results).collect()
     }
 }
 

@@ -11,5 +11,5 @@ pub mod explain;
 pub mod harness;
 pub mod report;
 
-pub use harness::{Scale, SeededPipeline};
+pub use harness::{Plan, Runs, Scale, Target};
 pub use report::Table;

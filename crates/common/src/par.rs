@@ -1,10 +1,11 @@
 //! Minimal data-parallel helpers built on `std::thread::scope`.
 //!
-//! The workspace previously used rayon for its two fan-out sites (profiling
-//! the app suite, evaluating figure configurations). Those are coarse-grained
-//! jobs — a handful of multi-second simulations — so a work-stealing pool is
-//! overkill: a shared atomic work index over scoped threads gives the same
-//! wall-clock win with no dependencies.
+//! The fan-out sites (profiling the app suite, `repro`'s run plan) map over
+//! coarse-grained jobs — a handful of multi-second simulations — so a
+//! work-stealing pool is overkill: a shared atomic work index over scoped
+//! threads gives the same wall-clock win with no dependencies. Workers take
+//! items in slice order, so a caller that sorts its items longest first
+//! gets a longest-first queue.
 //!
 //! Worker count resolution (first match wins):
 //! 1. an explicit count via [`parallel_map_with`]
@@ -12,7 +13,6 @@
 //! 3. `std::thread::available_parallelism()`
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Resolve the worker-thread count: `explicit` if given, else the
 /// `MOCA_JOBS` environment variable, else `available_parallelism`.
@@ -99,24 +99,6 @@ where
         .collect()
 }
 
-/// Map `f` over owned `items` in parallel, preserving input order.
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let wrapped: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    parallel_map(&wrapped, |slot| {
-        let item = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("parallel_map_owned: item taken twice");
-        f(item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,13 +114,6 @@ mod tests {
     fn handles_empty_and_single() {
         assert_eq!(parallel_map(&[] as &[u64], |x| *x), Vec::<u64>::new());
         assert_eq!(parallel_map(&[7u64], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn owned_variant_moves_items() {
-        let items = vec!["a".to_string(), "b".to_string()];
-        let out = parallel_map_owned(items, |s| s + "!");
-        assert_eq!(out, vec!["a!".to_string(), "b!".to_string()]);
     }
 
     #[test]

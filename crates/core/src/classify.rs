@@ -169,6 +169,17 @@ impl Default for ThresholdSearch {
 }
 
 impl ThresholdSearch {
+    /// Every grid point, `Thr_Lat`-major: the order [`ThresholdSearch::run`]
+    /// scores them in.
+    pub fn candidates(&self) -> Vec<Thresholds> {
+        let row = |&thr_lat| {
+            self.bw_grid
+                .iter()
+                .map(move |&thr_bw| Thresholds { thr_lat, thr_bw })
+        };
+        self.lat_grid.iter().flat_map(row).collect()
+    }
+
     /// Run the sweep. `score` maps thresholds to a cost (lower is better,
     /// e.g. memory EDP). Returns the best thresholds and all scored points.
     pub fn run<F: FnMut(Thresholds) -> f64>(
@@ -176,14 +187,11 @@ impl ThresholdSearch {
         mut score: F,
     ) -> (Thresholds, Vec<(Thresholds, f64)>) {
         assert!(!self.lat_grid.is_empty() && !self.bw_grid.is_empty());
-        let mut results = Vec::new();
-        for &thr_lat in &self.lat_grid {
-            for &thr_bw in &self.bw_grid {
-                let t = Thresholds { thr_lat, thr_bw };
-                let s = score(t);
-                results.push((t, s));
-            }
-        }
+        let results: Vec<(Thresholds, f64)> = self
+            .candidates()
+            .into_iter()
+            .map(|t| (t, score(t)))
+            .collect();
         let best = results
             .iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are comparable"))

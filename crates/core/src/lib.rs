@@ -47,7 +47,7 @@ pub mod profile;
 pub use classify::{AppThresholds, ClassifiedApp, Thresholds};
 pub use naming::{NameRegistry, ObjectName};
 pub use persist::PersistError;
-pub use pipeline::{Pipeline, PolicyKind};
+pub use pipeline::{Pipeline, Placement, PolicyKind, RunSpec};
 pub use policy::{
     ConfigurableMocaPolicy, HeterAppPolicy, HomogeneousPolicy, LowPowerFirstPolicy, MocaPolicy,
 };

@@ -4,8 +4,11 @@
 //! input.
 
 use crate::classify::{classify_lut, AppThresholds, ClassifiedApp, Thresholds};
-use crate::policy::{HeterAppPolicy, HomogeneousPolicy, LowPowerFirstPolicy, MocaPolicy};
+use crate::policy::{
+    ConfigurableMocaPolicy, HeterAppPolicy, HomogeneousPolicy, LowPowerFirstPolicy, MocaPolicy,
+};
 use crate::profile::{profile_app, ProfileConfig, ProfileLut};
+use moca_common::par::parallel_map;
 use moca_common::{DetMap, ObjectClass};
 use moca_sim::config::{MemSystemConfig, SystemConfig};
 use moca_sim::metrics::RunResult;
@@ -15,7 +18,7 @@ use moca_vm::PagePlacementPolicy;
 use moca_workloads::{app_by_name, InputSet};
 
 /// Which placement policy to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PolicyKind {
     /// MOCA's object-level allocation (typed heap + per-class placement).
     Moca,
@@ -42,22 +45,100 @@ impl PolicyKind {
     }
 }
 
-/// Construct the placement policy for an evaluation run. One-time setup:
-/// kept out of the `evaluate*` driver bodies so the hot-path lint can hold
-/// those to a no-allocation rule.
-fn make_policy(policy: PolicyKind, app_classes: Vec<ObjectClass>) -> Box<dyn PagePlacementPolicy> {
-    match policy {
-        PolicyKind::Moca => Box::new(MocaPolicy),
-        PolicyKind::HeterApp => Box::new(HeterAppPolicy::new(app_classes)),
-        PolicyKind::Homogeneous => Box::new(HomogeneousPolicy),
-        PolicyKind::Migration => Box::new(LowPowerFirstPolicy),
+/// Where a run's pages go: one of the evaluated policies, or a MOCA variant
+/// with its own fallback orders and segment class (the ablations).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Placement {
+    /// An evaluated policy.
+    Kind(PolicyKind),
+    /// A MOCA variant on the typed heap.
+    Custom(ConfigurableMocaPolicy),
+}
+
+impl From<PolicyKind> for Placement {
+    fn from(kind: PolicyKind) -> Placement {
+        Placement::Kind(kind)
+    }
+}
+
+/// Everything one evaluation run reads, resolved by [`Pipeline::resolve`].
+/// A run is a pure function of its spec, so equal specs give the same
+/// [`RunResult`] and a planner can key results by the spec itself.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RunSpec {
+    /// Memory system.
+    pub mem: MemSystemConfig,
+    /// One application name per core.
+    pub apps: Vec<String>,
+    /// Per-app object classes for the typed heap; empty without one.
+    pub object_classes: Vec<Vec<ObjectClass>>,
+    /// Per-app classes for Heter-App; empty for every other placement.
+    pub app_classes: Vec<ObjectClass>,
+    /// Page placement.
+    pub placement: Placement,
+    /// Footprint/capacity scale, as its `f64` bits.
+    pub capacity_scale_bits: u64,
+    /// Warmup instructions per core.
+    pub warmup: u64,
+    /// Measured instructions per core.
+    pub instrs: u64,
+}
+
+impl RunSpec {
+    /// Run the spec on the reference input, threading `tel` through; with
+    /// `attribution` the result carries CPI stacks, per-object stall ledgers
+    /// and the occupancy timeline (`repro explain`). Both only observe: every
+    /// simulated metric is bit-identical either way.
+    pub fn evaluate(&self, tel: Telemetry, attribution: bool) -> (RunResult, Telemetry) {
+        let cfg = SystemConfig {
+            cores: self.apps.len(),
+            capacity_scale: f64::from_bits(self.capacity_scale_bits),
+            ..SystemConfig::single_core(self.mem)
+        };
+        let mut sys = System::new_with_telemetry(cfg, self.launches(), self.policy(), tel);
+        if self.placement == Placement::Kind(PolicyKind::Migration) {
+            sys.attach_migration(moca_sim::migration::MigrationConfig::default());
+        }
+        if attribution {
+            sys.enable_attribution();
+        }
+        let result = sys.run_warmed(self.warmup, self.instrs);
+        (result, sys.take_telemetry())
+    }
+
+    // One-time setup, kept out of `evaluate` so the hot-path lint can hold
+    // its body to a no-allocation rule.
+    fn launches(&self) -> Vec<AppLaunch> {
+        let mut launches: Vec<AppLaunch> = self
+            .apps
+            .iter()
+            .map(|name| AppLaunch::untyped(app_by_name(name), InputSet::reference()))
+            .collect();
+        // MOCA instruments the binary with per-object types: heap virtual
+        // addresses come from the typed partitions. Baselines have none.
+        for (launch, classes) in launches.iter_mut().zip(&self.object_classes) {
+            launch.object_classes = classes.clone();
+        }
+        launches
+    }
+
+    fn policy(&self) -> Box<dyn PagePlacementPolicy> {
+        match &self.placement {
+            Placement::Kind(PolicyKind::Moca) => Box::new(MocaPolicy),
+            Placement::Kind(PolicyKind::HeterApp) => {
+                Box::new(HeterAppPolicy::new(self.app_classes.clone()))
+            }
+            Placement::Kind(PolicyKind::Homogeneous) => Box::new(HomogeneousPolicy),
+            Placement::Kind(PolicyKind::Migration) => Box::new(LowPowerFirstPolicy),
+            Placement::Custom(policy) => Box::new(policy.clone()),
+        }
     }
 }
 
 /// The profiling → classification → evaluation pipeline, with a per-app
 /// profile cache (each application is profiled once on the training input,
-/// like the paper's offline stage). `Clone` copies the cache, so a seeded
-/// pipeline can be fanned out across threads for parallel evaluations.
+/// like the paper's offline stage). `Clone` copies the cache, so a copy can
+/// re-classify the same profiles under other thresholds.
 #[derive(Clone)]
 pub struct Pipeline {
     /// Object-level thresholds.
@@ -114,6 +195,18 @@ impl Pipeline {
         self.cache.insert(lut.app.clone(), (lut, classified));
     }
 
+    /// Profile every app of `apps` not yet cached, fanned out over the
+    /// worker threads (`moca_common::par`).
+    pub fn profile_all(&mut self, apps: &[&str]) {
+        let cfg = self.profile_cfg;
+        let mut missing = apps.to_vec();
+        missing.retain(|a| !self.cache.contains_key(*a));
+        let luts = parallel_map(&missing, |a| {
+            profile_app(&app_by_name(a), InputSet::training(), &cfg)
+        });
+        luts.into_iter().for_each(|lut| self.insert_profile(lut));
+    }
+
     fn entry(&mut self, app: &str) -> &(ProfileLut, ClassifiedApp) {
         if !self.cache.contains_key(app) {
             let spec = app_by_name(app);
@@ -124,6 +217,46 @@ impl Pipeline {
         &self.cache[app]
     }
 
+    /// Resolve a workload (one app name per core) on `mem` under `policy`
+    /// into the spec of its run: the classes the placement reads come from
+    /// this pipeline's (cached) classifications, the lengths and capacity
+    /// scale from its settings. A MOCA variant equal to the paper's policy
+    /// resolves to [`PolicyKind::Moca`]: both place every page alike.
+    pub fn resolve(
+        &mut self,
+        apps: &[&str],
+        mem: MemSystemConfig,
+        policy: impl Into<Placement>,
+    ) -> RunSpec {
+        let placement = match policy.into() {
+            Placement::Custom(c) if c == ConfigurableMocaPolicy::default() => {
+                Placement::Kind(PolicyKind::Moca)
+            }
+            p => p,
+        };
+        let mut spec = RunSpec {
+            mem,
+            apps: apps.iter().map(|a| a.to_string()).collect(),
+            object_classes: Vec::new(),
+            app_classes: Vec::new(),
+            placement,
+            capacity_scale_bits: self.profile_cfg.capacity_scale.to_bits(),
+            warmup: self.eval_warmup,
+            instrs: self.eval_instrs,
+        };
+        for app in apps {
+            let c = self.classified(app);
+            match spec.placement {
+                Placement::Kind(PolicyKind::HeterApp) => spec.app_classes.push(c.app_class),
+                Placement::Kind(PolicyKind::Moca) | Placement::Custom(_) => {
+                    spec.object_classes.push(c.object_classes.clone())
+                }
+                _ => {}
+            }
+        }
+        spec
+    }
+
     /// Evaluate a workload (one app name per core) on `mem` under `policy`,
     /// using the reference input. Returns the full metrics bundle.
     pub fn evaluate(
@@ -132,15 +265,13 @@ impl Pipeline {
         mem: MemSystemConfig,
         policy: PolicyKind,
     ) -> RunResult {
-        self.evaluate_with_telemetry(apps, mem, policy, Telemetry::disabled())
+        self.resolve(apps, mem, policy)
+            .evaluate(Telemetry::disabled(), false)
             .0
     }
 
     /// [`Pipeline::evaluate`] with an observability context threaded through
-    /// the run. Returns the metrics bundle together with the telemetry (its
-    /// sink holds the captured events, its registry the counters/windows).
-    /// Telemetry is write-only for the machine: the `RunResult` is
-    /// bit-identical to what [`Pipeline::evaluate`] returns.
+    /// the run (see [`RunSpec::evaluate`]).
     pub fn evaluate_with_telemetry(
         &mut self,
         apps: &[&str],
@@ -148,14 +279,11 @@ impl Pipeline {
         policy: PolicyKind,
         tel: Telemetry,
     ) -> (RunResult, Telemetry) {
-        self.evaluate_attributed(apps, mem, policy, tel, false)
+        self.resolve(apps, mem, policy).evaluate(tel, false)
     }
 
     /// [`Pipeline::evaluate_with_telemetry`] with per-core cycle attribution
-    /// switched on: the returned `RunResult` carries CPI stacks, per-object
-    /// stall ledgers, and the occupancy timeline (`repro explain` consumes
-    /// this). Attribution is observational, so every simulated metric is
-    /// bit-identical to the unattributed run.
+    /// switched on or off (see [`RunSpec::evaluate`]).
     pub fn evaluate_attributed(
         &mut self,
         apps: &[&str],
@@ -164,40 +292,7 @@ impl Pipeline {
         tel: Telemetry,
         attribution: bool,
     ) -> (RunResult, Telemetry) {
-        let sys_cfg = SystemConfig {
-            cores: apps.len(),
-            capacity_scale: self.profile_cfg.capacity_scale,
-            ..SystemConfig::single_core(mem)
-        };
-        let mut launches = Vec::with_capacity(apps.len());
-        let mut app_classes = Vec::with_capacity(apps.len());
-        for &name in apps {
-            let classified = self.classified(name).clone();
-            app_classes.push(classified.app_class);
-            let spec = app_by_name(name);
-            let launch = match policy {
-                // MOCA instruments the binary with per-object types: heap
-                // virtual addresses come from the typed partitions.
-                PolicyKind::Moca => AppLaunch {
-                    spec,
-                    input: InputSet::reference(),
-                    object_classes: classified.object_classes,
-                },
-                // Baselines have no typed heap.
-                _ => AppLaunch::untyped(spec, InputSet::reference()),
-            };
-            launches.push(launch);
-        }
-        let policy_box = make_policy(policy, app_classes);
-        let mut sys = System::new_with_telemetry(sys_cfg, launches, policy_box, tel);
-        if policy == PolicyKind::Migration {
-            sys.attach_migration(moca_sim::migration::MigrationConfig::default());
-        }
-        if attribution {
-            sys.enable_attribution();
-        }
-        let result = sys.run_warmed(self.eval_warmup, self.eval_instrs);
-        (result, sys.take_telemetry())
+        self.resolve(apps, mem, policy).evaluate(tel, attribution)
     }
 
     /// Emit the offline classification verdicts of every profiled app into
@@ -228,43 +323,6 @@ impl Pipeline {
                 );
             }
         }
-    }
-}
-
-impl Pipeline {
-    /// Evaluate with an arbitrary placement policy. `typed_heap` selects
-    /// whether object virtual addresses come from the MOCA class partitions
-    /// (required for class-aware policies) or the untyped heap.
-    pub fn evaluate_custom(
-        &mut self,
-        apps: &[&str],
-        mem: MemSystemConfig,
-        policy: Box<dyn PagePlacementPolicy>,
-        typed_heap: bool,
-    ) -> RunResult {
-        let sys_cfg = SystemConfig {
-            cores: apps.len(),
-            capacity_scale: self.profile_cfg.capacity_scale,
-            ..SystemConfig::single_core(mem)
-        };
-        let launches = apps
-            .iter()
-            .map(|&name| {
-                let classified = self.classified(name).clone();
-                let spec = app_by_name(name);
-                if typed_heap {
-                    AppLaunch {
-                        spec,
-                        input: InputSet::reference(),
-                        object_classes: classified.object_classes,
-                    }
-                } else {
-                    AppLaunch::untyped(spec, InputSet::reference())
-                }
-            })
-            .collect();
-        let mut sys = System::new(sys_cfg, launches, policy);
-        sys.run_warmed(self.eval_warmup, self.eval_instrs)
     }
 }
 

@@ -123,7 +123,7 @@ impl PagePlacementPolicy for LowPowerFirstPolicy {
 /// placement — used by the ablation studies (`repro ablations`) to quantify
 /// the design choices §IV-D fixes: the fallback priority lists and the
 /// static LPDDR2 placement of stack/code (§VI-D).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ConfigurableMocaPolicy {
     /// Fallback order for latency-sensitive pages.
     pub lat_order: [ModuleKind; 4],

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 pub const NOMINAL_TOTAL: u64 = 2 * GB;
 
 /// Capacities of one heterogeneous memory system (nominal megabytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct HeterogeneousLayout {
     /// RLDRAM3 module size in MB (one channel).
     pub rldram_mb: u64,
@@ -58,7 +58,7 @@ impl HeterogeneousLayout {
 }
 
 /// Which memory system populates the four channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MemSystemConfig {
     /// Four identical 512 MB modules of one technology (Homogen-DDR3 /
     /// -RL / -HBM / -LP), line-interleaved (`RoRaBaChCo`).
