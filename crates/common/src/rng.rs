@@ -28,6 +28,62 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `2^53`: [`DetRng::unit`] is a 53-bit draw scaled by its inverse.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// Integer cut of probability `p` for [`DetRng::hit`]. For a 53-bit draw
+/// `u`, `unit() < p` is `u · 2^-53 < p`; scaling by a power of two is exact,
+/// so that is `u < p · 2^53`, and for an integer `u` it is `u < ⌈p · 2^53⌉`.
+/// The cast saturates: `p ≤ 0` (or NaN) never hits, `p ≥ 1` always does.
+pub fn prob_cut(p: f64) -> u64 {
+    (p * UNIT_SCALE).ceil() as u64
+}
+
+/// The index [`weight_cuts`] thresholds `cuts` give the 53-bit draw `u`:
+/// the number of thresholds at or below it. A branch-free count, as the
+/// thresholds are few and ascending.
+#[inline]
+pub fn picked(cuts: &[u64], u: u64) -> usize {
+    cuts.iter().map(|&c| usize::from(u >= c)).sum()
+}
+
+/// Integer thresholds for [`DetRng::pick`] that reproduce a float weighted
+/// pick over `weights` draw for draw. That pick scales `unit()` by the
+/// weights' sum and walks the table subtracting each weight (falling back
+/// to the last index); every step is monotone in the draw, so the index it
+/// returns is too. Threshold `k` is the smallest 53-bit draw that maps past
+/// index `k` (`2^53`, never reached, if none does), found by binary search.
+/// Weights must be non-negative and not all zero.
+pub fn weight_cuts(weights: &[f64]) -> Vec<u64> {
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "weights sum to zero");
+    let float_pick = |u: u64| {
+        let mut x = u as f64 * (1.0 / UNIT_SCALE) * total;
+        for (i, w) in weights.iter().enumerate() {
+            if x < *w {
+                return i;
+            }
+            x -= w;
+        }
+        weights.len() - 1
+    };
+    let end = 1u64 << 53;
+    (0..weights.len().saturating_sub(1))
+        .map(|k| {
+            let (mut lo, mut hi) = (0, end);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if float_pick(mid) > k {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        })
+        .collect()
+}
+
 impl DetRng {
     /// Create an RNG from a base seed and a stream index. Distinct streams
     /// (e.g. one per object, one per core) are statistically independent.
@@ -92,30 +148,28 @@ impl DetRng {
     #[inline]
     pub fn unit(&mut self) -> f64 {
         // 53 high bits → the standard [0, 1) double conversion.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.draw53() as f64 * (1.0 / UNIT_SCALE)
     }
 
-    /// Pick an index according to non-negative `weights`. Weights must not
-    /// all be zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        self.weighted_index_with_total(weights, total)
+    /// The 53 high bits of one draw: the integer behind [`unit`](Self::unit),
+    /// which is exactly `draw53() / 2^53`.
+    #[inline]
+    pub fn draw53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
-    /// [`weighted_index`](Self::weighted_index) with the sum of `weights`
-    /// precomputed by the caller. `total` must equal `weights.iter().sum()`
-    /// bit-exactly — hot callers with fixed weight tables compute it once
-    /// instead of re-summing per draw.
-    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> usize {
-        debug_assert!(total > 0.0, "weights sum to zero");
-        let mut x = self.unit() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
+    /// [`chance`](Self::chance) against a precomputed [`prob_cut`]: one
+    /// draw, and `hit(prob_cut(p)) == chance(p)` for every draw.
+    #[inline]
+    pub fn hit(&mut self, cut: u64) -> bool {
+        self.draw53() < cut
+    }
+
+    /// Weighted index against precomputed [`weight_cuts`]: one draw, mapped
+    /// by [`picked`].
+    #[inline]
+    pub fn pick(&mut self, cuts: &[u64]) -> usize {
+        picked(cuts, self.draw53())
     }
 
     /// Raw 64-bit value.
@@ -155,14 +209,26 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_prefers_heavy_weight() {
+    fn pick_prefers_heavy_weight() {
         let mut r = DetRng::new(3, 3);
-        let w = [0.01, 0.98, 0.01];
+        let cuts = weight_cuts(&[0.01, 0.98, 0.01]);
         let mut counts = [0u32; 3];
         for _ in 0..1000 {
-            counts[r.weighted_index(&w)] += 1;
+            counts[r.pick(&cuts)] += 1;
         }
         assert!(counts[1] > 900, "counts = {counts:?}");
+    }
+
+    #[test]
+    fn cuts_saturate_at_the_extremes() {
+        assert_eq!(prob_cut(0.0), 0);
+        assert_eq!(prob_cut(-0.5), 0);
+        assert_eq!(prob_cut(f64::NAN), 0);
+        assert_eq!(prob_cut(1.0), 1 << 53);
+        // A zero weight owns no draws: its threshold equals its neighbour's.
+        let cuts = weight_cuts(&[1.0, 0.0, 1.0]);
+        assert_eq!(cuts[0], cuts[1]);
+        assert_eq!(weight_cuts(&[2.0]), Vec::<u64>::new());
     }
 
     #[test]
@@ -170,6 +236,8 @@ mod tests {
         let mut r = DetRng::new(5, 5);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+        assert!(!r.hit(prob_cut(0.0)));
+        assert!(r.hit(prob_cut(1.0)));
     }
 
     #[test]

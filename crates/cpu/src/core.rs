@@ -113,7 +113,16 @@ pub struct Core {
     pub id: CoreId,
     cfg: CoreConfig,
     rob: VecDeque<RobEntry>,
+    /// Dispatched, unissued loads in sequence order. Each holds a load
+    /// queue entry, so there are at most `lq_entries`
+    /// (≤ [`Core::MAX_LQ_ENTRIES`]) of them.
     waiting: Vec<WaitingLoad>,
+    /// Bit `i` set: `waiting[i]`'s `dep_ready` is known. A clear bit marks
+    /// a *parked* load, whose producer is still in flight
+    /// (`dep_ready == Cycle::MAX`); the issue scan and
+    /// `scan_min_dep_ready` walk only the set bits, and the producer's
+    /// [`Core::mark_done`] sets the bit.
+    known: u64,
     /// Exact minimum of `dep_ready` over `waiting` (`Cycle::MAX` when
     /// empty): no waiting load can issue before it, so the issue scan and
     /// `sleep_state` test one cycle instead of walking the list.
@@ -179,8 +188,16 @@ fn classify(v: CycleView, rob_entries: usize) -> Bucket {
 }
 
 impl Core {
+    /// Largest `lq_entries`: one bit per waiting load in a `u64` mask.
+    pub const MAX_LQ_ENTRIES: usize = 64;
+
     /// Build a core.
     pub fn new(id: CoreId, cfg: CoreConfig) -> Core {
+        assert!(
+            cfg.lq_entries <= Core::MAX_LQ_ENTRIES,
+            "lq_entries {} exceeds the waiting-load mask",
+            cfg.lq_entries
+        );
         let pc = cfg.code_base;
         // Dispatch stops at `rob_entries`, so the ROB never regrows.
         let rob = VecDeque::with_capacity(cfg.rob_entries);
@@ -189,6 +206,7 @@ impl Core {
             cfg,
             rob,
             waiting: Vec::new(),
+            known: 0,
             min_dep_ready: Cycle::MAX,
             tickets: Vec::new(),
             ifetch_ticket: None,
@@ -292,16 +310,25 @@ impl Core {
             }
         }
         // Any waiting load that might issue (dependency resolved)?
-        for w in &self.waiting {
-            if self.dep_resolved(w.dep_seq, now) {
-                return false;
-            }
+        if self.resolved_loads(now).next().is_some() {
+            return false;
         }
         // Room to dispatch?
         if self.can_dispatch_something(now) {
             return false;
         }
         true
+    }
+
+    /// Sequence numbers of the waiting (dispatched, unissued) loads whose
+    /// address dependence has resolved by `now`, in dispatch order. Walks
+    /// the list against the ROB: the scan reference for the issue stage,
+    /// which reads cached wake cycles instead.
+    pub fn resolved_loads(&self, now: Cycle) -> impl Iterator<Item = u64> + '_ {
+        self.waiting
+            .iter()
+            .filter(move |w| self.dep_resolved(w.dep_seq, now))
+            .map(|w| w.seq)
     }
 
     fn can_dispatch_something(&self, now: Cycle) -> bool {
@@ -367,6 +394,7 @@ impl Core {
                 self.scan_min_dep_ready(),
                 "cached minimum dependence wake cycle went stale"
             );
+            self.check_parked();
             debug_assert_eq!(
                 state.is_some(),
                 self.blocked_on_memory(now),
@@ -467,18 +495,63 @@ impl Core {
         }
     }
 
-    /// Minimum `dep_ready` over the waiting list (`Cycle::MAX` when empty).
-    /// Stops at the first 0 (an independent load), which a streaming core
-    /// usually keeps at the front of the list.
+    /// Minimum `dep_ready` over the waiting list (`Cycle::MAX` when empty):
+    /// the known entries only, as a parked one holds `Cycle::MAX`. Stops at
+    /// the first 0 (an independent load), which a streaming core usually
+    /// keeps at the front of the list.
     fn scan_min_dep_ready(&self) -> Cycle {
         let mut min = Cycle::MAX;
-        for w in &self.waiting {
-            min = min.min(w.dep_ready);
+        let mut bits = self.known;
+        while bits != 0 {
+            min = min.min(self.waiting[bits.trailing_zeros() as usize].dep_ready);
             if min == 0 {
                 break;
             }
+            bits &= bits - 1;
         }
         min
+    }
+
+    /// Debug check of the parked-load mask against the ROB: a set bit holds
+    /// a known `dep_ready`; a clear bit (within the list) a parked load,
+    /// whose `dep_ready` is `Cycle::MAX` and whose producer is still in the
+    /// ROB, not done.
+    #[cfg(debug_assertions)]
+    fn check_parked(&self) {
+        debug_assert!(
+            self.waiting.len() == Core::MAX_LQ_ENTRIES || self.known >> self.waiting.len() == 0,
+            "known-load mask has bits past the waiting list"
+        );
+        for (i, w) in self.waiting.iter().enumerate() {
+            if self.known >> i & 1 == 1 {
+                debug_assert!(
+                    w.dep_ready != Cycle::MAX,
+                    "known load {} has no wake cycle",
+                    w.seq
+                );
+                continue;
+            }
+            debug_assert_eq!(
+                w.dep_ready,
+                Cycle::MAX,
+                "parked load {} has a wake cycle",
+                w.seq
+            );
+            let producer = w.dep_seq.and_then(|p| self.find(p));
+            debug_assert!(
+                producer.is_some_and(|e| !e.done),
+                "parked load {} has no producer in flight",
+                w.seq
+            );
+        }
+    }
+
+    /// Remove `waiting[i]` (an issued load) and close its gap in `known`:
+    /// the bits above `i` move down one place.
+    fn unwait(&mut self, i: usize) {
+        self.waiting.remove(i);
+        let below = (1u64 << i) - 1;
+        self.known = (self.known & below) | ((self.known >> 1) & !below);
     }
 
     /// Mark load `seq` done with data at `ready_at`, and hand that cycle to
@@ -496,6 +569,7 @@ impl Core {
         debug_assert_eq!(self.waiting.get(i).map(|w| w.seq), Some(waiter));
         if let Some(w) = self.waiting.get_mut(i).filter(|w| w.seq == waiter) {
             w.dep_ready = ready_at;
+            self.known |= 1 << i;
             self.min_dep_ready = self.min_dep_ready.min(ready_at);
         }
     }
@@ -630,19 +704,22 @@ impl Core {
 
         // ---- Issue stage: waiting loads whose dependencies resolved ----
         // Skipped outright while no cached dependence wake cycle has
-        // arrived: nothing in the list could issue.
+        // arrived: nothing in the list could issue. Otherwise walks the
+        // known loads in sequence order; parked ones cannot issue.
         let mut issued = 0;
-        let mut i = 0;
         let mut mshr_retry = false;
         debug_assert!(
-            self.min_dep_ready <= now
-                || !self
-                    .waiting
-                    .iter()
-                    .any(|w| self.dep_resolved(w.dep_seq, now)),
+            self.min_dep_ready <= now || self.resolved_loads(now).next().is_none(),
             "issue scan skipped with a resolved waiting load"
         );
-        while self.min_dep_ready <= now && i < self.waiting.len() && issued < self.cfg.width {
+        // Position of the next entry to consider.
+        let mut i = 0;
+        while self.min_dep_ready <= now && issued < self.cfg.width {
+            let ahead = self.known.checked_shr(i as u32).unwrap_or(0);
+            if ahead == 0 {
+                break;
+            }
+            i += ahead.trailing_zeros() as usize;
             let w = self.waiting[i];
             debug_assert_eq!(
                 w.dep_ready <= now,
@@ -656,7 +733,7 @@ impl Core {
             match port.load(now, self.id, w.va, w.tag) {
                 MemReply::Done { ready_at } => {
                     self.mark_done(w.seq, ready_at.max(now + 1));
-                    self.waiting.remove(i);
+                    self.unwait(i);
                     issued += 1;
                 }
                 MemReply::Pending { ticket, primary } => {
@@ -669,7 +746,7 @@ impl Core {
                         e.llc_miss = true;
                     }
                     self.tickets.push((ticket, w.seq));
-                    self.waiting.remove(i);
+                    self.unwait(i);
                     issued += 1;
                 }
                 MemReply::Retry { mshr_full } => {
@@ -833,6 +910,9 @@ impl Core {
                         }
                     };
                     self.min_dep_ready = self.min_dep_ready.min(dep_ready);
+                    if dep_ready != Cycle::MAX {
+                        self.known |= 1 << self.waiting.len();
+                    }
                     self.waiting.push(WaitingLoad {
                         seq,
                         va,

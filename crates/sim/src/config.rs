@@ -1,7 +1,7 @@
 //! System configuration: memory-system layouts and machine parameters.
 
 use moca_common::{Cycle, ModuleKind, GB, MB};
-use moca_cpu::CoreConfig;
+use moca_cpu::{Core, CoreConfig};
 use moca_dram::AddressMapper;
 use moca_dram::{ChannelConfig, DeviceTiming};
 use moca_vm::frames::{regions_from_capacities, ModuleRegion};
@@ -228,6 +228,13 @@ impl SystemConfig {
                 Tlb::MAX_ENTRIES
             ));
         }
+        if !(1..=Core::MAX_LQ_ENTRIES).contains(&self.core.lq_entries) {
+            return Err(format!(
+                "core.lq_entries {} must be in 1..={}",
+                self.core.lq_entries,
+                Core::MAX_LQ_ENTRIES
+            ));
+        }
         for (ci, ch) in self
             .mem
             .channel_configs(self.capacity_scale)
@@ -330,6 +337,14 @@ mod tests {
         }
         let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         s.tlb_entries = Tlb::MAX_ENTRIES;
+        s.validate().unwrap();
+        for entries in [0, Core::MAX_LQ_ENTRIES + 1] {
+            let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
+            s.core.lq_entries = entries;
+            assert!(s.validate().unwrap_err().contains("core.lq_entries"));
+        }
+        let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
+        s.core.lq_entries = Core::MAX_LQ_ENTRIES;
         s.validate().unwrap();
     }
 

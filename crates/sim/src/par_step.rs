@@ -90,17 +90,18 @@ impl Frontier {
     }
 }
 
-/// Outcome of one core's tick, recorded by the owning worker and replayed
-/// serially (in core order) by the bookkeeping pass on the main thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub(crate) enum SleepSlot {
-    /// Runnable next cycle.
-    #[default]
-    Runnable,
-    /// Stream drained and pipeline empty.
-    Finished,
-    /// Blocked until the given wake event.
-    Sleep(Cycle),
+/// One awake core of the current cycle and, once its tick has run, its
+/// `Core::sleep_state`. The pool's worker writes the state; the main thread
+/// replays the list in core order through `System::settle`.
+pub(crate) type Ticked = (usize, Option<Cycle>);
+
+/// One cycle's work as published to the workers: the state view and the
+/// awake list (`len` entries at `awake`) whose sleep states they fill in.
+#[derive(Clone, Copy)]
+struct Job {
+    ctx: TickCtx,
+    awake: *mut Ticked,
+    len: usize,
 }
 
 /// Raw-parts view of everything phase 3 touches, captured from `&mut System`
@@ -115,11 +116,6 @@ pub(crate) struct TickCtx {
     pub streams: *mut AppRun,
     pub tickets: *mut u64,
     pub steps_at_tick: *mut u64,
-    pub committed: *mut u64,
-    pub sleeps: *mut SleepSlot,
-    pub hier_deferred: *mut bool,
-    pub awake: *const usize,
-    pub awake_len: usize,
     pub channels: *mut Channel,
     pub channels_len: usize,
     pub mapper: *const AddressMapper,
@@ -192,21 +188,21 @@ impl MemPort for GatedPort<'_> {
 }
 
 /// Tick every awake core owned by `worker` (round-robin partition of the
-/// awake list), in ascending position order, honouring the frontier.
+/// job's awake list), in ascending position order, honouring the frontier,
+/// and record each one's sleep state in its entry.
 ///
 /// # Safety
-/// `ctx` must point into a live `System` whose phase-3 state is untouched
-/// by anything else for the duration of the call, and every participating
-/// worker must use the same `ctx`, `frontier`, and `threads`.
-pub(crate) unsafe fn worker_body(
-    ctx: &TickCtx,
-    frontier: &Frontier,
-    worker: usize,
-    threads: usize,
-) {
+/// `job.ctx` must point into a live `System` whose phase-3 state is
+/// untouched by anything else for the duration of the call, `job.awake`
+/// must hold `job.len` entries of which nothing else touches this worker's
+/// positions meanwhile, and every participating worker must use the same
+/// `job`, `frontier`, and `threads`.
+unsafe fn worker_body(job: &Job, frontier: &Frontier, worker: usize, threads: usize) {
+    let ctx = &job.ctx;
     let mut p = worker;
-    while p < ctx.awake_len {
-        let i = *ctx.awake.add(p);
+    while p < job.len {
+        let entry = &mut *job.awake.add(p);
+        let i = entry.0;
         let core = &mut *ctx.cores.add(i);
         let stream = &mut *ctx.streams.add(i);
         // Cycles on which the machine stepped while this core slept (the
@@ -221,13 +217,7 @@ pub(crate) unsafe fn worker_body(
             gated: false,
         };
         core.tick_gated(ctx.now, skipped_live, &mut port, stream);
-        *ctx.committed.add(i) = core.committed();
-        *ctx.hier_deferred.add(i) = (*ctx.hiers.add(i)).has_deferred();
-        *ctx.sleeps.add(i) = match core.sleep_state(ctx.now) {
-            None if core.finished() => SleepSlot::Finished,
-            None => SleepSlot::Runnable,
-            Some(e) => SleepSlot::Sleep(e),
-        };
+        entry.1 = core.sleep_state(ctx.now);
         // A tick with no memory traffic never waited; the frontier still
         // has to pass through this position exactly once.
         frontier.wait(p);
@@ -238,21 +228,27 @@ pub(crate) unsafe fn worker_body(
 
 /// Persistent worker pool for one `run_warmed` invocation. Workers park on
 /// a generation counter between cycles; the main thread publishes a
-/// [`TickCtx`], bumps the generation, works position stripe 0 itself, and
+/// [`Job`], bumps the generation, works position stripe 0 itself, and
 /// waits for the others.
 pub(crate) struct StepPool {
     threads: usize,
-    /// Cycle generation; bumped (Release) after `ctx` is published.
+    /// Cycle generation; bumped (Release) after `job` is published.
     go: AtomicU64,
     /// Workers finished with the current generation.
     done: AtomicUsize,
     stop: AtomicBool,
     frontier: Frontier,
-    ctx: UnsafeCell<Option<TickCtx>>,
+    job: UnsafeCell<Option<Job>>,
+    /// The current cycle's awake cores, in core order, with their sleep
+    /// states once ticked. The main thread owns the vector; workers reach
+    /// its entries only through the published [`Job`].
+    awake: UnsafeCell<Vec<Ticked>>,
 }
 
-// The UnsafeCell is written only by the main thread before the generation
-// bump and read only by workers after observing it (Release/Acquire pair).
+// `job` and the awake list are written only by the main thread before the
+// generation bump and read only by workers after observing it
+// (Release/Acquire pair); each worker then writes only its own positions'
+// sleep states, which the main thread reads after every worker is done.
 unsafe impl Sync for StepPool {}
 
 impl StepPool {
@@ -264,26 +260,49 @@ impl StepPool {
             done: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             frontier: Frontier::new(),
-            ctx: UnsafeCell::new(None),
+            job: UnsafeCell::new(None),
+            awake: UnsafeCell::new(Vec::new()),
         }
     }
 
-    /// Fan one cycle's phase 3 out across the pool. Blocks until every
-    /// worker has finished its stripe.
+    /// Tick every core whose `wake_at` has arrived by `ctx.now`, fanned
+    /// out across the pool when more than one is awake. Blocks until every
+    /// worker has finished its stripe, then returns the awake cores in core
+    /// order with their sleep states.
     ///
     /// # Safety
     /// As for [`worker_body`]; additionally the caller must be the single
-    /// main thread driving this pool.
-    pub(crate) unsafe fn run_cycle(&self, ctx: TickCtx) {
+    /// main thread driving this pool, and must be done with the returned
+    /// slice before the next call.
+    pub(crate) unsafe fn run_cycle(&self, ctx: TickCtx, wake_at: &[Cycle]) -> &[Ticked] {
+        // The workers are parked between cycles, so the main thread has the
+        // awake list to itself until the generation bump below.
+        let awake = &mut *self.awake.get();
+        awake.clear();
+        awake.extend(
+            (0..wake_at.len())
+                .filter(|&i| wake_at[i] <= ctx.now)
+                .map(|i| (i, None)),
+        );
+        let job = Job {
+            ctx,
+            awake: awake.as_mut_ptr(),
+            len: awake.len(),
+        };
         self.frontier.reset();
+        if job.len <= 1 {
+            worker_body(&job, &self.frontier, 0, 1);
+            return &*self.awake.get();
+        }
         self.done.store(0, Ordering::Release);
-        *self.ctx.get() = Some(ctx);
+        *self.job.get() = Some(job);
         self.go.fetch_add(1, Ordering::Release);
-        worker_body(&ctx, &self.frontier, 0, self.threads);
+        worker_body(&job, &self.frontier, 0, self.threads);
         let mut spins = 0;
         while self.done.load(Ordering::Acquire) < self.threads - 1 {
             relax(&mut spins);
         }
+        &*self.awake.get()
     }
 
     /// Body of worker `worker` (1-based stripe; stripe 0 is the main
@@ -303,8 +322,14 @@ impl StepPool {
                 relax(&mut spins);
             };
             seen = g;
-            let ctx = unsafe { (*self.ctx.get()).expect("ctx published before generation bump") };
-            unsafe { worker_body(&ctx, &self.frontier, worker, self.threads) };
+            // SAFETY: the main thread wrote `job` before the generation bump
+            // observed above (Acquire) and writes it again only after every
+            // worker has reported done.
+            let job = unsafe { (*self.job.get()).expect("job published before generation bump") };
+            // SAFETY: `run_cycle` keeps the main thread inside this cycle
+            // until every worker is done, so the job's state and awake list
+            // are the pool's alone; stripes are disjoint by position.
+            unsafe { worker_body(&job, &self.frontier, worker, self.threads) };
             self.done.fetch_add(1, Ordering::Release);
         }
     }

@@ -5,7 +5,7 @@ use crate::hierarchy::CoreHierarchy;
 use crate::metrics::{ChannelReport, CoreResult, MemMetrics, RunResult};
 use crate::migration::{MigrationConfig, Migrator};
 use crate::os::Os;
-use crate::par_step::{SleepSlot, StepPool, TickCtx};
+use crate::par_step::{StepPool, TickCtx};
 use moca_common::ids::MemTag;
 use moca_common::wheel::EventWheel;
 use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr, PAGE_SIZE};
@@ -65,9 +65,6 @@ pub struct System {
     /// whose `wake_at` has arrived; everything that can unblock a core
     /// (DRAM completions, its own tick) updates this array.
     wake_at: Vec<Cycle>,
-    /// Per-core committed-instruction mirror, refreshed after each tick
-    /// (dense array so the run loops never walk the cores).
-    committed: Vec<u64>,
     /// Per-core flag: committed ≥ `commit_target` (monotonic per phase).
     crossed: Vec<bool>,
     /// Number of cores with `crossed == false`; the warmup loop runs while
@@ -106,14 +103,6 @@ pub struct System {
     /// Worker threads for phase 3 (1 = sequential). See [`crate::par_step`];
     /// results are bit-identical for any value.
     step_threads: usize,
-    /// This cycle's awake-core list (indices with `wake_at <= now`), in
-    /// ascending order — the tick and bookkeeping passes share it.
-    awake: Vec<usize>,
-    /// Per-core tick outcome, written by the tick pass (possibly on worker
-    /// threads) and replayed in core order by the bookkeeping pass.
-    sleeps: Vec<SleepSlot>,
-    /// Per-core `has_deferred` flag captured right after the core's tick.
-    hier_deferred: Vec<bool>,
     /// Per-core flag: still inside its measurement window. Cores that reach
     /// the instruction target keep running (to preserve contention) but
     /// their memory latencies stop counting toward the metrics.
@@ -390,7 +379,6 @@ impl System {
             tickets: vec![0; n],
             now: 0,
             wake_at: vec![0; n],
-            committed: vec![0; n],
             crossed: vec![false; n],
             below_target: n,
             commit_target: 0,
@@ -401,9 +389,6 @@ impl System {
             steps: 0,
             steps_at_tick: vec![0; n],
             step_threads: 1,
-            awake: Vec::with_capacity(n),
-            sleeps: vec![SleepSlot::Runnable; n],
-            hier_deferred: vec![false; n],
             measuring: vec![true; n],
             frozen: vec![false; n],
             woken_buf: Vec::new(),
@@ -593,12 +578,6 @@ impl System {
             streams: self.streams.as_mut_ptr(),
             tickets: self.tickets.as_mut_ptr(),
             steps_at_tick: self.steps_at_tick.as_mut_ptr(),
-            committed: self.committed.as_mut_ptr(),
-            sleeps: self.sleeps.as_mut_ptr(),
-            hier_deferred: self.hier_deferred.as_mut_ptr(),
-            // moca-lint: allow(det-taint): raw-parts capture for the step pool; the pointers index disjoint per-core state and never become sim-visible values
-            awake: self.awake.as_ptr(),
-            awake_len: self.awake.len(),
             channels: self.channels.as_mut_ptr(),
             channels_len: self.channels.len(),
             mapper: &self.mapper,
@@ -746,91 +725,43 @@ impl System {
         // 3. Core pipelines — only cores whose wake event has arrived.
         // A sleeping core's tick is a pure no-op until its `wake_at`
         // (its elapsed-cycle stats catch up inside `Core::tick`), and a
-        // fully drained core sits at `Cycle::MAX` forever. The tick pass
-        // runs sequentially or fans out across the step pool (bit-identical
-        // either way — see `par_step`); the bookkeeping pass below replays
-        // each core's recorded outcome in core order.
+        // fully drained core sits at `Cycle::MAX` forever. Each ticked
+        // core is settled at once; the step pool (see `par_step`) ticks
+        // the awake cores first and then settles them in core order,
+        // bit-identically, as settling touches nothing a tick reads.
+        // Runnable cores are counted for this step's skip decision.
         // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
         let t0 = profile.then(std::time::Instant::now);
-        self.awake.clear();
-        for i in 0..n {
-            if self.wake_at[i] <= now {
-                self.awake.push(i);
-            }
-        }
-        match pool {
-            Some(pool) if self.awake.len() > 1 => {
-                let ctx = self.tick_ctx(now);
-                // SAFETY: `ctx` views exactly the state the sequential tick
-                // pass touches; nothing else reads or writes it until
-                // `run_cycle` returns, and this is the pool's main thread.
-                unsafe { pool.run_cycle(ctx) };
-            }
-            _ => {
-                for p in 0..self.awake.len() {
-                    let i = self.awake[p];
-                    let mut port = Port {
-                        hier: &mut self.hiers[i],
-                        channels: &mut self.channels,
-                        mapper: &self.mapper,
-                        os: &mut self.os,
-                        core_idx: i,
-                        tickets: &mut self.tickets[i],
-                        tel: &mut self.tel,
-                    };
-                    let skipped_live = self.steps - self.steps_at_tick[i] - 1;
-                    self.steps_at_tick[i] = self.steps;
-                    self.cores[i].tick_gated(now, skipped_live, &mut port, &mut self.streams[i]);
-                    self.committed[i] = self.cores[i].committed();
-                    self.hier_deferred[i] = self.hiers[i].has_deferred();
-                    self.sleeps[i] = match self.cores[i].sleep_state(now) {
-                        None if self.cores[i].finished() => SleepSlot::Finished,
-                        None => SleepSlot::Runnable,
-                        Some(e) => SleepSlot::Sleep(e),
-                    };
-                }
-            }
-        }
-        // Bookkeeping pass: refresh the dense per-core state the run loops
-        // read, and reschedule each ticked core. Runnable cores are counted
-        // locally for this step's skip decision (not queued — they would
-        // churn the wheel every cycle); sleepers are posted at their wake
-        // event. Ticks never read any of this, so running it after the
-        // whole tick pass is order-equivalent to the fused loop.
         let mut runnable_next = 0usize;
-        for p in 0..self.awake.len() {
-            let i = self.awake[p];
-            let c = self.committed[i];
-            if !self.crossed[i] && c >= self.commit_target {
-                self.crossed[i] = true;
-                self.below_target -= 1;
-                self.commit_crossed = true;
+        if let Some(pool) = pool {
+            let ctx = self.tick_ctx(now);
+            // SAFETY: `ctx` views exactly the state the sequential loop
+            // below touches; nothing else reads or writes it until
+            // `run_cycle` returns, and this is the pool's main thread. The
+            // returned slice is read before the next `run_cycle`.
+            let ticked = unsafe { pool.run_cycle(ctx, &self.wake_at) };
+            for &(i, sleep) in ticked {
+                runnable_next += usize::from(self.settle(i, now, sleep));
             }
-            if self.hier_deferred[i] {
-                self.deferred_words[i / 64] |= 1 << (i % 64);
-            }
-            match self.sleeps[i] {
-                SleepSlot::Finished => {
-                    self.wake_at[i] = Cycle::MAX;
-                    self.finished_count += 1;
-                    self.wheel.cancel(i);
+        } else {
+            for i in 0..n {
+                if self.wake_at[i] > now {
+                    continue;
                 }
-                SleepSlot::Runnable => {
-                    self.wake_at[i] = now + 1;
-                    runnable_next += 1;
-                    self.wheel.cancel(i);
-                }
-                SleepSlot::Sleep(e) => {
-                    self.wake_at[i] = e;
-                    if e <= now + 1 {
-                        runnable_next += 1;
-                        self.wheel.cancel(i);
-                    } else if e == Cycle::MAX {
-                        self.wheel.cancel(i);
-                    } else {
-                        self.wheel.post(i, e);
-                    }
-                }
+                let mut port = Port {
+                    hier: &mut self.hiers[i],
+                    channels: &mut self.channels,
+                    mapper: &self.mapper,
+                    os: &mut self.os,
+                    core_idx: i,
+                    tickets: &mut self.tickets[i],
+                    tel: &mut self.tel,
+                };
+                let skipped_live = self.steps - self.steps_at_tick[i] - 1;
+                self.steps_at_tick[i] = self.steps;
+                self.cores[i].tick_gated(now, skipped_live, &mut port, &mut self.streams[i]);
+                let sleep = self.cores[i].sleep_state(now);
+                runnable_next += usize::from(self.settle(i, now, sleep));
             }
         }
         if let Some(t) = t0 {
@@ -859,6 +790,38 @@ impl System {
         if self.finished_count == 0 && runnable_next == 0 {
             self.skip(now);
         }
+    }
+
+    /// Phase 3 bookkeeping for core `i` right after its tick at `now`,
+    /// given its `sleep_state`: note a first crossing of the commit
+    /// target, flag deferred writes, and reschedule the core. Sleepers are
+    /// posted on the wheel at their wake event; runnable cores are not
+    /// (they would churn it every cycle), and the return value says the
+    /// core is runnable next cycle.
+    fn settle(&mut self, i: usize, now: Cycle, sleep: Option<Cycle>) -> bool {
+        if !self.crossed[i] && self.cores[i].committed() >= self.commit_target {
+            self.crossed[i] = true;
+            self.below_target -= 1;
+            self.commit_crossed = true;
+        }
+        if self.hiers[i].has_deferred() {
+            self.deferred_words[i / 64] |= 1 << (i % 64);
+        }
+        let (wake, runnable) = match sleep {
+            None if self.cores[i].finished() => {
+                self.finished_count += 1;
+                (Cycle::MAX, false)
+            }
+            None => (now + 1, true),
+            Some(e) => (e, e <= now + 1),
+        };
+        self.wake_at[i] = wake;
+        if runnable || wake == Cycle::MAX {
+            self.wheel.cancel(i);
+        } else {
+            self.wheel.post(i, wake);
+        }
+        runnable
     }
 
     /// Phase 4 of `step`: jump `now` to just before the next cycle that
@@ -1008,9 +971,7 @@ impl System {
         self.below_target = 0;
         self.commit_crossed = false;
         for (i, core) in self.cores.iter().enumerate() {
-            let c = core.committed();
-            self.committed[i] = c;
-            self.crossed[i] = c >= target;
+            self.crossed[i] = core.committed() >= target;
             if !self.crossed[i] {
                 self.below_target += 1;
             }

@@ -4,6 +4,7 @@
 use crate::spec::{AppSpec, InputSet, Pattern};
 use moca_common::addr::CACHE_LINE_SIZE;
 use moca_common::ids::MemTag;
+use moca_common::rng::{prob_cut, weight_cuts};
 use moca_common::{DetRng, ObjectId, Segment, VirtAddr};
 use moca_cpu::{Instr, InstrStream};
 
@@ -15,14 +16,61 @@ pub fn scaled_sizes(spec: &AppSpec, input: InputSet, footprint_scale: f64) -> Ve
         .collect()
 }
 
+/// Fraction of stack accesses that are stores.
+pub const STACK_STORE_FRACTION: f64 = 0.40;
+
+/// An object's [`Pattern`] with its per-line draw parameters resolved once
+/// at construction: probabilities as [`prob_cut`]s, the hot set in lines.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    /// [`Pattern::Stream`] (`dependent: false`) or [`Pattern::StreamDep`].
+    Stream {
+        stride: u64,
+        dependent: bool,
+    },
+    Chase,
+    Random,
+    Hot {
+        hot_lines: u64,
+        cold_cut: u64,
+        chase: bool,
+    },
+}
+
+impl Walk {
+    fn new(pattern: Pattern, lines: u64) -> Walk {
+        match pattern {
+            Pattern::Stream { stride } => Walk::Stream {
+                stride,
+                dependent: false,
+            },
+            Pattern::StreamDep { stride } => Walk::Stream {
+                stride,
+                dependent: true,
+            },
+            Pattern::Chase => Walk::Chase,
+            Pattern::Random => Walk::Random,
+            Pattern::Hot {
+                working_set,
+                cold_fraction,
+                chase,
+            } => Walk::Hot {
+                hot_lines: (working_set / CACHE_LINE_SIZE).clamp(1, lines),
+                cold_cut: prob_cut(cold_fraction),
+                chase,
+            },
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ObjState {
     base: VirtAddr,
     lines: u64,
     chain: u16,
-    weight: f64,
-    pattern: Pattern,
-    write_fraction: f64,
+    walk: Walk,
+    /// [`prob_cut`] of the object's store fraction.
+    write_cut: u64,
     burst: u32,
     /// Stream cursor (line index within the object).
     cursor: u64,
@@ -34,17 +82,6 @@ struct ObjState {
     current_dependent: bool,
 }
 
-impl ObjState {
-    fn hot_lines(&self) -> u64 {
-        match self.pattern {
-            Pattern::Hot { working_set, .. } => {
-                (working_set / CACHE_LINE_SIZE).clamp(1, self.lines)
-            }
-            _ => self.lines,
-        }
-    }
-}
-
 /// A running application instance: an infinite, deterministic
 /// [`InstrStream`]. The surrounding simulator bounds the run by committed
 /// instruction count (the paper fast-forwards and then runs a fixed
@@ -52,21 +89,25 @@ impl ObjState {
 pub struct AppRun {
     name: &'static str,
     rng: DetRng,
-    mem_fraction: f64,
-    branch_cut: f64,
-    mispredict_rate: f64,
-    stack_fraction: f64,
-    branch_jump_prob: f64,
+    // Every probability is held as its `prob_cut` and every weight table
+    // as its `weight_cuts`: integer compares against one 53-bit draw that
+    // reproduce the float comparisons draw for draw.
+    mem_cut: u64,
+    /// Cut of `mem_fraction + branch_fraction`.
+    branch_cut: u64,
+    mispredict_cut: u64,
+    stack_cut: u64,
+    stack_store_cut: u64,
+    jump_cut: u64,
     code_base: u64,
     code_lines: u64,
     stack_base: VirtAddr,
     stack_lines: u64,
     objects: Vec<ObjState>,
-    weights: Vec<f64>,
-    /// Sum of `weights`, precomputed so each heap access skips the re-sum.
-    weights_total: f64,
-    /// Odd-phase (period, weights, weight sum), when the app is phased.
-    phases: Option<(u64, Vec<f64>, f64)>,
+    /// Object pick thresholds of the base weights.
+    picks: Vec<u64>,
+    /// Odd-phase (period, pick thresholds), when the app is phased.
+    phases: Option<(u64, Vec<u64>)>,
     /// Instructions generated so far (drives phase switching).
     generated: u64,
     /// Instructions left in the current phase (countdown replaces the
@@ -103,45 +144,46 @@ impl AppRun {
             .zip(sizes.iter())
             .zip(object_bases.iter())
             .enumerate()
-            .map(|(idx, ((o, &bytes), &base))| ObjState {
-                base,
-                lines: (bytes / CACHE_LINE_SIZE).max(1),
-                chain: o
-                    .chain_group
-                    .map(|g| 0x100 + g as u16)
-                    .unwrap_or(idx as u16),
-                weight: o.weight,
-                pattern: o.pattern,
-                write_fraction: o.write_fraction,
-                burst: o.burst,
-                cursor: 0,
-                current_line: 0,
-                burst_left: 0,
-                current_dependent: o.pattern.dependent(),
+            .map(|(idx, ((o, &bytes), &base))| {
+                let lines = (bytes / CACHE_LINE_SIZE).max(1);
+                ObjState {
+                    base,
+                    lines,
+                    chain: o
+                        .chain_group
+                        .map(|g| 0x100 + g as u16)
+                        .unwrap_or(idx as u16),
+                    walk: Walk::new(o.pattern, lines),
+                    write_cut: prob_cut(o.write_fraction),
+                    burst: o.burst,
+                    cursor: 0,
+                    current_line: 0,
+                    burst_left: 0,
+                    current_dependent: o.pattern.dependent(),
+                }
             })
             .collect();
-        let weights: Vec<f64> = objects.iter().map(|o| o.weight).collect();
-        let weights_total: f64 = weights.iter().sum();
-        let phases = spec.phases.as_ref().map(|p| {
-            let total: f64 = p.odd_weights.iter().sum();
-            (p.period, p.odd_weights.clone(), total)
-        });
+        let weights: Vec<f64> = spec.objects.iter().map(|o| o.weight).collect();
+        let phases = spec
+            .phases
+            .as_ref()
+            .map(|p| (p.period, weight_cuts(&p.odd_weights)));
         let phase_left = phases.as_ref().map_or(0, |(period, ..)| *period);
         AppRun {
             name: spec.name,
             rng: DetRng::new(input.seed ^ fxhash(spec.name), stream),
-            mem_fraction: spec.mem_fraction,
-            branch_cut: spec.mem_fraction + spec.branch_fraction,
-            mispredict_rate: spec.mispredict_rate,
-            stack_fraction: spec.stack_fraction,
-            branch_jump_prob: spec.branch_jump_prob,
+            mem_cut: prob_cut(spec.mem_fraction),
+            branch_cut: prob_cut(spec.mem_fraction + spec.branch_fraction),
+            mispredict_cut: prob_cut(spec.mispredict_rate),
+            stack_cut: prob_cut(spec.stack_fraction),
+            stack_store_cut: prob_cut(STACK_STORE_FRACTION),
+            jump_cut: prob_cut(spec.branch_jump_prob),
             code_base: moca_vm::layout::CODE_BASE,
             code_lines: (spec.code_bytes / CACHE_LINE_SIZE).max(1),
             stack_base,
             stack_lines: (spec.stack_working_set / CACHE_LINE_SIZE).max(1),
             objects,
-            weights,
-            weights_total,
+            picks: weight_cuts(&weights),
             phases,
             generated: 0,
             phase_left,
@@ -155,16 +197,16 @@ impl AppRun {
     }
 
     fn heap_access(&mut self) -> Instr {
-        let (weights, total) = match (&self.phases, self.in_odd_phase) {
-            (Some((_, odd, t)), true) => (odd, *t),
-            _ => (&self.weights, self.weights_total),
+        let picks = match (&self.phases, self.in_odd_phase) {
+            (Some((_, odd)), true) => odd,
+            _ => &self.picks,
         };
-        let i = self.rng.weighted_index_with_total(weights, total);
+        let i = self.rng.pick(picks);
         let o = &mut self.objects[i];
         let first_of_line = o.burst_left == 0;
         if first_of_line {
-            let (line, dependent) = match o.pattern {
-                Pattern::Stream { stride } | Pattern::StreamDep { stride } => {
+            let (line, dependent) = match o.walk {
+                Walk::Stream { stride, dependent } => {
                     let l = o.cursor;
                     o.cursor = (o.cursor + stride.max(1)) % o.lines;
                     if o.cursor < stride {
@@ -172,19 +214,19 @@ impl AppRun {
                         // every line across passes regardless of gcd.
                         o.cursor = (o.cursor + 1) % o.lines;
                     }
-                    (l, o.pattern.dependent())
+                    (l, dependent)
                 }
-                Pattern::Chase => (self.rng.below(o.lines), true),
-                Pattern::Random => (self.rng.below(o.lines), false),
-                Pattern::Hot {
-                    cold_fraction,
+                Walk::Chase => (self.rng.below(o.lines), true),
+                Walk::Random => (self.rng.below(o.lines), false),
+                Walk::Hot {
+                    hot_lines,
+                    cold_cut,
                     chase,
-                    ..
                 } => {
-                    if cold_fraction > 0.0 && self.rng.chance(cold_fraction) {
+                    if cold_cut > 0 && self.rng.hit(cold_cut) {
                         (self.rng.below(o.lines), chase)
                     } else {
-                        (self.rng.below(o.hot_lines()), false)
+                        (self.rng.below(hot_lines), false)
                     }
                 }
             };
@@ -196,10 +238,10 @@ impl AppRun {
         let offset = o.current_line * CACHE_LINE_SIZE + self.rng.below(8) * 8;
         let va = o.base.offset(offset);
         let tag = MemTag::heap(ObjectId(i as u32));
-        let write_fraction = o.write_fraction;
+        let write_cut = o.write_cut;
         let dependent = o.current_dependent;
         let chain = o.chain;
-        if self.rng.chance(write_fraction) {
+        if self.rng.hit(write_cut) {
             Instr::Store { va, tag }
         } else {
             Instr::Load {
@@ -217,7 +259,7 @@ impl AppRun {
             .stack_base
             .offset(line * CACHE_LINE_SIZE + self.rng.below(8) * 8);
         let tag = MemTag::segment(Segment::Stack);
-        if self.rng.chance(0.40) {
+        if self.rng.hit(self.stack_store_cut) {
             Instr::Store { va, tag }
         } else {
             Instr::Load {
@@ -233,7 +275,7 @@ impl AppRun {
 impl InstrStream for AppRun {
     fn next_instr(&mut self) -> Option<Instr> {
         self.generated += 1;
-        if let Some((period, ..)) = &self.phases {
+        if let Some((period, _)) = &self.phases {
             // Countdown equivalent of `(generated / period) % 2 == 1`.
             self.phase_left -= 1;
             if self.phase_left == 0 {
@@ -241,16 +283,16 @@ impl InstrStream for AppRun {
                 self.phase_left = *period;
             }
         }
-        let r = self.rng.unit();
-        Some(if r < self.mem_fraction {
-            if self.rng.chance(self.stack_fraction) {
+        let r = self.rng.draw53();
+        Some(if r < self.mem_cut {
+            if self.rng.hit(self.stack_cut) {
                 self.stack_access()
             } else {
                 self.heap_access()
             }
         } else if r < self.branch_cut {
-            let mispredict = self.rng.chance(self.mispredict_rate);
-            let target = if self.rng.chance(self.branch_jump_prob) {
+            let mispredict = self.rng.hit(self.mispredict_cut);
+            let target = if self.rng.hit(self.jump_cut) {
                 Some(VirtAddr(
                     self.code_base + self.rng.below(self.code_lines) * CACHE_LINE_SIZE,
                 ))

@@ -14,6 +14,13 @@
 //! scan-based one, at `now` and at a few later cycles. A wrong "runnable"
 //! or wake cycle would change which cycles the system steps, so it would
 //! shift refresh timing and ROB-full counts in a full simulation.
+//!
+//! The same runs check the issue stage, which walks only the loads whose
+//! dependence wake cycle is known. Loads must reach the port in dispatch
+//! order within each tick, and a tick that issued fewer than `width` loads
+//! without a retry must leave no issuable load behind (by the scan-based
+//! `Core::resolved_loads`). Each load's address encodes its position in
+//! the stream, which is its sequence number.
 
 use moca_common::ids::MemTag;
 use moca_common::rng::DetRng;
@@ -21,22 +28,32 @@ use moca_common::{CoreId, Cycle, ObjectId, VirtAddr};
 use moca_cpu::{Core, CoreConfig, Instr, MemPort, MemReply, StoreReply};
 
 /// Memory port answering at random. Misses complete `1..=max_miss` cycles
-/// after issue; hits report a latency that may already have passed.
+/// after issue; hits report a latency that may already have passed. Of
+/// every 20 loads, 8 hit, `retries` get a structural retry and the rest
+/// miss.
 struct RandomPort {
     rng: DetRng,
     next_ticket: u64,
     /// `(due cycle, ticket)` of outstanding misses.
     inflight: Vec<(Cycle, u64)>,
     max_miss: u64,
+    retries: u64,
+    /// Loads the port has seen, in arrival order: `(cycle, address)`.
+    arrivals: Vec<(Cycle, VirtAddr)>,
+    /// Cycle of the last `Retry` answered to a load.
+    last_retry: Option<Cycle>,
 }
 
 impl RandomPort {
-    fn new(seed: u64, max_miss: u64) -> RandomPort {
+    fn new(seed: u64, max_miss: u64, retries: u64) -> RandomPort {
         RandomPort {
             rng: DetRng::new(seed, 0x3a4e),
             next_ticket: 0,
             inflight: Vec::new(),
             max_miss,
+            retries,
+            arrivals: Vec::new(),
+            last_retry: None,
         }
     }
 
@@ -73,15 +90,19 @@ impl RandomPort {
 }
 
 impl MemPort for RandomPort {
-    fn load(&mut self, now: Cycle, _core: CoreId, _va: VirtAddr, _tag: MemTag) -> MemReply {
+    fn load(&mut self, now: Cycle, _core: CoreId, va: VirtAddr, _tag: MemTag) -> MemReply {
+        self.arrivals.push((now, va));
         match self.rng.below(20) {
             0..=7 => MemReply::Done {
                 ready_at: now + self.rng.below(30),
             },
-            8..=16 => self.miss(now),
-            _ => MemReply::Retry {
-                mshr_full: self.rng.chance(0.5),
-            },
+            r if r < 20 - self.retries => self.miss(now),
+            _ => {
+                self.last_retry = Some(now);
+                MemReply::Retry {
+                    mshr_full: self.rng.chance(0.5),
+                }
+            }
         }
     }
 
@@ -102,13 +123,17 @@ impl MemPort for RandomPort {
     }
 }
 
+/// Base of the heap addresses [`random_stream`] gives out.
+const HEAP: u64 = 0x2000_0000;
+
 /// A seeded instruction mix: pointer-chasing chains, independent loads,
-/// stores, and branches that sometimes mispredict or jump.
+/// stores, and branches that sometimes mispredict or jump. Instruction `i`
+/// touches `HEAP + 64 i`, so a load's address names its sequence number.
 fn random_stream(seed: u64, len: usize) -> Vec<Instr> {
     let mut rng = DetRng::new(seed, 0x57e4);
-    (0..len)
-        .map(|_| {
-            let va = VirtAddr(0x2000_0000 + rng.below(1 << 16) * 64);
+    (0..len as u64)
+        .map(|i| {
+            let va = VirtAddr(HEAP + i * 64);
             let tag = MemTag::heap(ObjectId(rng.below(4) as u32));
             match rng.below(20) {
                 0..=5 => Instr::Compute,
@@ -155,14 +180,49 @@ fn check(core: &Core, at: Cycle, ctx: &str) {
     }
 }
 
-/// Run one seeded core to completion, checking the sleep query on every
-/// cycle it is stepped. Cycles on which the core sleeps are skipped to its
-/// next wake or miss completion, the way the system's event skip does.
-fn run_seed(seed: u64, len: usize, cfg: CoreConfig, max_miss: u64) {
-    let instrs = random_stream(seed, len);
+/// Issue-stage checks for the tick at `now`, whose loads are
+/// `port.arrivals[from..]`: they arrived in dispatch order, and unless the
+/// tick issued `width` loads or hit a retry, none of the loads that were
+/// waiting before it (sequence numbers below `before`) is left issuable.
+fn check_issue(
+    core: &Core,
+    port: &RandomPort,
+    from: usize,
+    now: Cycle,
+    cfg: &CoreConfig,
+    before: u64,
+    ctx: &str,
+) {
+    let seqs: Vec<u64> = port.arrivals[from..]
+        .iter()
+        .map(|&(at, va)| {
+            assert_eq!(at, now, "{ctx}: load arrived outside its tick");
+            (va.0 - HEAP) / 64
+        })
+        .collect();
+    assert!(
+        seqs.windows(2).all(|p| p[0] < p[1]),
+        "{ctx}: loads reached the port out of dispatch order: {seqs:?}"
+    );
+    if seqs.len() < cfg.width && port.last_retry != Some(now) {
+        let left: Vec<u64> = core.resolved_loads(now).filter(|&s| s < before).collect();
+        assert!(
+            left.is_empty(),
+            "{ctx}: issue stopped after {} loads with issuable loads {left:?} left",
+            seqs.len()
+        );
+    }
+}
+
+/// Run one seeded core to completion, checking the sleep query and the
+/// issue stage on every cycle it is stepped. Cycles on which the core
+/// sleeps are skipped to its next wake or miss completion, the way the
+/// system's event skip does.
+fn run_seed(seed: u64, instrs: Vec<Instr>, cfg: CoreConfig, max_miss: u64, retries: u64) {
+    let len = instrs.len();
     let mut stream = instrs.into_iter();
-    let mut port = RandomPort::new(seed, max_miss);
-    let mut core = Core::new(CoreId(0), cfg);
+    let mut port = RandomPort::new(seed, max_miss, retries);
+    let mut core = Core::new(CoreId(0), cfg.clone());
     let mut probe = DetRng::new(seed, 0x9b0e);
     let mut now: Cycle = 0;
     let limit = len as Cycle * (max_miss + 40) + 10_000;
@@ -171,8 +231,13 @@ fn run_seed(seed: u64, len: usize, cfg: CoreConfig, max_miss: u64) {
         assert!(now < limit, "seed {seed}: core did not finish by {limit}");
         port.drain(now, &mut core);
         check(&core, now, &format!("seed {seed} after completions"));
+        // Sequence numbers are consecutive over the ROB, so this is the
+        // first one the tick can dispatch.
+        let before = core.rob_head_seq().map_or(0, |h| h + core.rob_len() as u64);
+        let from = port.arrivals.len();
         core.tick(now, &mut port, &mut stream);
-        let ctx = format!("seed {seed} after tick");
+        let ctx = format!("seed {seed} after tick {now}");
+        check_issue(&core, &port, from, now, &cfg, before, &ctx);
         check(&core, now, &ctx);
         check(&core, now + 1, &ctx);
         check(&core, now + 1 + probe.below(64), &ctx);
@@ -193,7 +258,14 @@ fn run_seed(seed: u64, len: usize, cfg: CoreConfig, max_miss: u64) {
 #[test]
 fn sleep_state_matches_scan_on_random_streams() {
     for seed in 0..12 {
-        run_seed(0x1550_e000 + seed, 6_000, CoreConfig::default(), 300);
+        let seed = 0x1550_e000 + seed;
+        run_seed(
+            seed,
+            random_stream(seed, 6_000),
+            CoreConfig::default(),
+            300,
+            3,
+        );
     }
 }
 
@@ -207,6 +279,37 @@ fn sleep_state_matches_scan_under_structural_pressure() {
         ..CoreConfig::default()
     };
     for seed in 0..12 {
-        run_seed(0x1550_f000 + seed, 4_000, cfg.clone(), 40);
+        let seed = 0x1550_f000 + seed;
+        run_seed(seed, random_stream(seed, 4_000), cfg.clone(), 40, 3);
+    }
+}
+
+/// A wide core with the largest load queue the waiting-load mask holds.
+/// Every load joins one dependence chain and half the load replies are
+/// retries, so the chain parks behind a retrying head and the waiting list
+/// often holds all 64 loads: one known head, 63 parked.
+#[test]
+fn issue_stage_matches_scan_at_full_mask_width() {
+    let cfg = CoreConfig {
+        width: 6,
+        rob_entries: 192,
+        lq_entries: 64,
+        ..CoreConfig::default()
+    };
+    for seed in 0..8 {
+        let seed = 0x1551_0000 + seed;
+        let one_chain = random_stream(seed, 2_000)
+            .into_iter()
+            .map(|i| match i {
+                Instr::Load { va, tag, .. } => Instr::Load {
+                    va,
+                    tag,
+                    dependent: true,
+                    chain: 0,
+                },
+                other => other,
+            })
+            .collect();
+        run_seed(seed, one_chain, cfg.clone(), 40, 10);
     }
 }
