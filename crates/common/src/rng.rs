@@ -241,6 +241,16 @@ mod tests {
     }
 
     #[test]
+    fn hit_is_strictly_below_the_cut() {
+        let mut r = DetRng::new(11, 4);
+        for _ in 0..64 {
+            let d = r.clone().draw53();
+            assert!(!r.clone().hit(d), "a draw equal to the cut misses");
+            assert!(r.hit(d + 1), "a draw one below the cut hits");
+        }
+    }
+
+    #[test]
     fn unit_is_half_open() {
         let mut r = DetRng::new(9, 9);
         for _ in 0..1000 {

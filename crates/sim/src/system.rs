@@ -7,7 +7,6 @@ use crate::migration::{MigrationConfig, Migrator};
 use crate::os::Os;
 use crate::par_step::{StepPool, TickCtx};
 use moca_common::ids::MemTag;
-use moca_common::wheel::EventWheel;
 use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr, PAGE_SIZE};
 use moca_cpu::{Core, MemPort, MemReply, StoreReply};
 use moca_dram::{AddressMapper, Channel, Completion};
@@ -83,10 +82,6 @@ pub struct System {
     /// empty). Event skip is disabled once any core is finished, matching
     /// the drain-phase semantics of the linear scan this replaced.
     finished_count: usize,
-    /// Next-event table over the cores: component `i` is core `i`'s wake
-    /// event. Replaces a per-step linear scan over all cores on the
-    /// all-blocked path; channels keep their own wake (`Channel::next_wake`).
-    wheel: EventWheel,
     /// Bitmask (one bit per core) of hierarchies that may hold deferred
     /// writebacks/store-fills; phase 2 walks set bits instead of asking
     /// every hierarchy every cycle.
@@ -384,7 +379,6 @@ impl System {
             commit_target: 0,
             commit_crossed: false,
             finished_count: 0,
-            wheel: EventWheel::new(n),
             deferred_words: vec![0; n.div_ceil(64)],
             steps: 0,
             steps_at_tick: vec![0; n],
@@ -783,10 +777,10 @@ impl System {
         }
 
         // 4. Event skip: if every core is stalled on memory, jump to the
-        // next cycle at which something can happen. The wheel holds every
-        // sleeping core's wake event and each channel keeps its own wake.
-        // Skipping stays disabled while any core is drained, preserving the
-        // cycle-by-cycle drain semantics of the linear scan this replaced.
+        // next cycle at which something can happen: the earliest core
+        // `wake_at` or channel wake. Skipping stays disabled while any core
+        // is drained, preserving the cycle-by-cycle drain semantics of the
+        // linear scan this replaced.
         if self.finished_count == 0 && runnable_next == 0 {
             self.skip(now);
         }
@@ -794,10 +788,10 @@ impl System {
 
     /// Phase 3 bookkeeping for core `i` right after its tick at `now`,
     /// given its `sleep_state`: note a first crossing of the commit
-    /// target, flag deferred writes, and reschedule the core. Sleepers are
-    /// posted on the wheel at their wake event; runnable cores are not
-    /// (they would churn it every cycle), and the return value says the
-    /// core is runnable next cycle.
+    /// target, flag deferred writes, and reschedule the core: its `wake_at`
+    /// becomes the next cycle while runnable, its wake event while
+    /// asleep, `Cycle::MAX` once finished. The return value says the core
+    /// is runnable next cycle.
     fn settle(&mut self, i: usize, now: Cycle, sleep: Option<Cycle>) -> bool {
         if !self.crossed[i] && self.cores[i].committed() >= self.commit_target {
             self.crossed[i] = true;
@@ -816,11 +810,6 @@ impl System {
             Some(e) => (e, e <= now + 1),
         };
         self.wake_at[i] = wake;
-        if runnable || wake == Cycle::MAX {
-            self.wheel.cancel(i);
-        } else {
-            self.wheel.post(i, wake);
-        }
         runnable
     }
 
@@ -837,10 +826,10 @@ impl System {
     /// loop jumps, or when a core just crossed its commit target (the run
     /// loop reads `now` next), the skip is the reference loop's own.
     fn skip(&mut self, now: Cycle) {
-        let cores_next = self
-            .wheel
-            .next_event_after(now)
-            .map_or(Cycle::MAX, |(c, _)| c);
+        // Every core was ticked and settled this step or sleeps past `now`,
+        // and none is runnable, so each `wake_at` is its wake event (or
+        // `Cycle::MAX`), all after `now`.
+        let cores_next = self.wake_at.iter().copied().min().unwrap_or(Cycle::MAX);
         #[cfg(debug_assertions)]
         self.check_skip_against_scan(now, cores_next);
         let mut reference = cores_next;
@@ -877,27 +866,27 @@ impl System {
         }
     }
 
-    /// Differential check (debug builds only): the wheel's minimum must
-    /// match a linear scan of every core's sleep state. Each channel's
+    /// Differential check (debug builds only): the minimum `wake_at` must
+    /// match a scan of every core's sleep state. Each channel's
     /// cached wake is checked against a fresh computation inside
     /// `Channel::next_wake`.
     #[cfg(debug_assertions)]
-    fn check_skip_against_scan(&self, now: Cycle, wheel_next: Cycle) {
+    fn check_skip_against_scan(&self, now: Cycle, cores_next: Cycle) {
         let mut next = Cycle::MAX;
         for (i, c) in self.cores.iter().enumerate() {
             match c.sleep_state(now) {
                 // moca-lint: allow(panic-in-hot): debug-only differential oracle; divergence must abort
                 None => panic!(
-                    "event wheel diverged at cycle {now}: core {i} is runnable \
+                    "core wakes diverged at cycle {now}: core {i} is runnable \
                      but the step loop counted no runnable cores"
                 ),
                 Some(e) => next = next.min(e),
             }
         }
         assert!(
-            wheel_next == next,
-            "event wheel diverged from the linear scan at cycle {now}: \
-             wheel says next core event at {wheel_next}, scan says {next}"
+            cores_next == next,
+            "core wakes diverged from the sleep-state scan at cycle {now}: \
+             wake_at says next core event at {cores_next}, scan says {next}"
         );
     }
 
@@ -1203,7 +1192,7 @@ mod tests {
     /// than spinning silently until the run watchdog fires.
     #[test]
     #[should_panic(expected = "event-skip deadlock")]
-    fn empty_wheel_trips_deadlock_assert() {
+    fn lost_completions_trip_deadlock_assert() {
         let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         let launch = AppLaunch::untyped(app_by_name("mcf"), InputSet::reference());
         let mut sys = System::new(cfg, vec![launch], Box::new(FirstTouchPolicy));
@@ -1217,13 +1206,12 @@ mod tests {
             // Wait for a cycle where the core is purely memory-blocked (no
             // core-local timer: its only wake event is a DRAM completion).
             if !sys.cores[0].finished() && sys.wake_at[0] == Cycle::MAX {
-                // Lose the completions: swap in fresh, empty channels and
-                // empty the wheel. The core now waits on a read that will
-                // never return — a modelling bug this assert must catch.
+                // Lose the completions: swap in fresh, empty channels. The
+                // core now waits on a read that will never return — a
+                // modelling bug this assert must catch.
                 for ch in &mut sys.channels {
                     *ch = Channel::new(ch.config().clone());
                 }
-                sys.wheel = EventWheel::new(sys.cores.len());
                 sys.step(&mut mem, &mut comps, None);
                 unreachable!("the deadlocked step above must panic");
             }

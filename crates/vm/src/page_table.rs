@@ -39,13 +39,14 @@ fn locate(vpn: u64) -> (usize, u64) {
 /// penalty in the core).
 ///
 /// Translation is the hottest VM operation — every TLB miss lands here —
-/// so the table is one dense [`RadixMap`] per layout region rather than an
-/// ordered map: a lookup selects the region with a few compares, then
-/// makes two dereferences. Keying each region by its offset from its own
-/// base keeps every radix top level a few slots long however far apart
-/// the regions sit, and [`PageTable::iter`] still ascends by vpn. Entries
-/// are 32-bit pfns, so a table addresses at most 2^32 frames (16 TiB of
-/// 4 KiB pages).
+/// so the table is one [`RadixMap`] per layout region rather than an
+/// ordered map: a lookup selects the region with a few compares, indexes
+/// the region's chunk, then binary-searches its affine runs (at most seven
+/// probes) or reads its dense array. Keying each region by its offset from
+/// its own base keeps every radix top level a few slots long however far
+/// apart the regions sit, and [`PageTable::iter`] still ascends by vpn.
+/// Entries are 32-bit pfns, so a table addresses at most 2^32 frames
+/// (16 TiB of 4 KiB pages).
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     regions: [RadixMap; REGIONS],

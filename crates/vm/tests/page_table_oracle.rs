@@ -8,6 +8,13 @@
 //! ends of the 1 TiB heap partitions. After every operation the table must
 //! translate the touched vpn as the reference does, and at the end it must
 //! hold the same pages and iterate them in the same ascending order.
+//!
+//! Random pfns leave every page its own run. A second test maps pages in
+//! `System::new`'s prefault order instead: consecutive vpns of code, stack,
+//! data and every heap partition onto consecutive frames in 32-page
+//! round-robin batches, so each region holds long affine runs (the stack's
+//! keys descend while its vpns ascend), and then remaps and unmaps single
+//! pages inside them as page migration does.
 
 use moca_common::rng::DetRng;
 use moca_common::PAGE_SIZE;
@@ -123,4 +130,69 @@ fn every_region_end_round_trips_in_vpn_order() {
     }
     assert_eq!(pt.mapped_pages(), 0);
     assert_eq!(pt.iter().count(), 0);
+}
+
+#[test]
+fn prefault_order_traffic_matches_btreemap_in_every_region() {
+    let mut rng = DetRng::new(0x009F_A017, 0);
+    let mut pt = PageTable::new();
+    let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+    // One segment per region, each an ascending vpn range like an app's
+    // code, stack, data and objects; the stack's is its top 700 pages.
+    let mut segments: Vec<std::ops::Range<u64>> = regions()
+        .iter()
+        .enumerate()
+        .map(|(i, &(first, last))| match i {
+            0 => CODE_BASE / PAGE_SIZE..CODE_BASE / PAGE_SIZE + 1500,
+            5 => last + 1 - 700..last + 1,
+            _ => first + 3..first + 3 + 2000,
+        })
+        .collect();
+    // Round-robin 32-page batches onto consecutive frames, with the frames
+    // of three other apps' batches skipped between turns.
+    let mut pfn = 0;
+    while segments.iter().any(|s| !s.is_empty()) {
+        for seg in &mut segments {
+            for vpn in seg.by_ref().take(32) {
+                pt.map(vpn, pfn);
+                reference.insert(vpn, pfn);
+                assert_eq!(pt.translate_vpn(vpn), Some(pfn));
+                pfn += 1;
+            }
+            pfn += 3 * 32;
+        }
+    }
+    let mapped: Vec<u64> = reference.keys().copied().collect();
+    for op in 0..4000 {
+        let vpn = mapped[rng.below(mapped.len() as u64) as usize];
+        match rng.below(3) {
+            // A swap or move: the page gets another frame.
+            0 => {
+                let old = pt.unmap(vpn);
+                assert_eq!(old, reference.remove(&vpn), "op {op}");
+                let pfn = old.map_or(rng.below(1 << 30), |p| p ^ (1 + rng.below(4)));
+                pt.map(vpn, pfn);
+                reference.insert(vpn, pfn);
+            }
+            1 => assert_eq!(pt.unmap(vpn), reference.remove(&vpn), "op {op}"),
+            // Remap onto the frame after the page below, re-joining a run.
+            _ => {
+                if let (None, Some(&below)) = (reference.get(&vpn), reference.get(&(vpn - 1))) {
+                    pt.map(vpn, below + 1);
+                    reference.insert(vpn, below + 1);
+                }
+            }
+        }
+        for v in [vpn - 1, vpn, vpn + 1] {
+            assert_eq!(
+                pt.translate_vpn(v),
+                reference.get(&v).copied(),
+                "op {op}: vpn {v:#x}"
+            );
+        }
+        assert_eq!(pt.mapped_pages(), reference.len(), "op {op}");
+    }
+    let got: Vec<(u64, u64)> = pt.iter().collect();
+    let want: Vec<(u64, u64)> = reference.iter().map(|(&v, &p)| (v, p)).collect();
+    assert_eq!(got, want, "iteration must ascend by vpn over every region");
 }

@@ -4,17 +4,21 @@
 //! 512 KB 16-way L2: 10,240 ways), so its way state is most of a
 //! many-core run's heap. At capacity scale 1, `System::new` prefaults
 //! every page of every object (§IV-E), so its per-page OS bookkeeping is
-//! most of a paper-sized run's heap. A counting global allocator measures
+//! most of a paper-sized run's heap, and a run-coded page map must not cost
+//! more than the dense one it replaced when its keys scatter. A counting
+//! global allocator measures
 //! the bytes each holds and the most it held at once, and the bounds fail
 //! a layout regression deterministically instead of leaving it to
 //! `peak_heap_mb`'s noise bound in the benchmark.
 
 use moca::policy::MocaPolicy;
 use moca::LowPowerFirstPolicy;
+use moca_common::rng::DetRng;
 use moca_common::ObjectClass;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
 use moca_sim::system::AppLaunch;
 use moca_sim::CoreHierarchy;
+use moca_vm::RadixMap;
 use moca_workloads::{app_by_name, multiprogram_sets, InputSet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,7 +118,7 @@ const COLO16_APPS: [&str; 16] = [
 ];
 
 #[test]
-fn colo16_system_new_holds_at_most_1200_kib() {
+fn colo16_system_new_holds_at_most_1000_kib() {
     // Sixteen cores under MOCA on Heter config1 at the default 1/64 scale.
     // Objects take the three heap classes in turn, so every app's page
     // table maps pages in every layout region.
@@ -139,13 +143,14 @@ fn colo16_system_new_holds_at_most_1200_kib() {
     let (sys, held) = held_bytes(|| moca_sim::System::new(cfg, launches, Box::new(MocaPolicy)));
     // Per core: a 52 KiB hierarchy, an exactly sized ROB, and a page
     // table whose per-region radix top levels are a few slots each, plus
-    // the 2 KiB chunks its pages touch. Measured at 1,179,785 B. A dense
-    // page radix (an 8 KiB top level per table) or byte-wide dirty flags
-    // (9 KiB more per core) would each break the bound.
-    const BOUND: isize = 1200 * 1024;
+    // the runs of the chunks its pages touch. Measured at 994,073 B (with
+    // a dense 2 KiB array per touched chunk, 1,179,785 B). Dense chunks, a
+    // single page radix (an 8 KiB top level per table) or byte-wide dirty
+    // flags (9 KiB more per core) would each break the bound.
+    const BOUND: isize = 1000 * 1024;
     assert!(
         held <= BOUND,
-        "16-core System::new holds {held} B, over the 1200 KiB bound"
+        "16-core System::new holds {held} B, over the 1000 KiB bound"
     );
     assert!(
         held >= 16 * 10_240 * 5,
@@ -155,7 +160,7 @@ fn colo16_system_new_holds_at_most_1200_kib() {
 }
 
 #[test]
-fn scale1_migrate_system_new_peaks_at_most_4_5_mib() {
+fn scale1_migrate_system_new_peaks_at_most_1_mib() {
     // The benchmark's `scale1-migrate` machine: the 3L1B set on Heter
     // config1 at capacity scale 1 (524,288 frames) under low-power-first
     // placement, which prefaults about 460k pages.
@@ -176,19 +181,60 @@ fn scale1_migrate_system_new_peaks_at_most_4_5_mib() {
         .collect();
     let (sys, held, peak) =
         held_and_peak_bytes(|| moca_sim::System::new(cfg, launches, Box::new(LowPowerFirstPolicy)));
-    // Four page tables and the frame -> vpn owner table of 2 KiB chunks
-    // (4-byte entries) come to about 3.5 MiB; a per-page startup list or
-    // 8-byte entries would more than double the peak.
-    const BOUND: isize = 4608 * 1024;
+    // Four page tables and the frame -> vpn owner table hold about 22k
+    // affine runs each, 8 bytes a run; measured at 895,074 B peak. Dense
+    // 2 KiB chunks (3.5 MiB), a per-page startup list or a B-tree owner
+    // table would each break the bound.
+    const BOUND: isize = 1024 * 1024;
     assert!(
         peak <= BOUND,
-        "System::new peaked at {peak} B ({held} B held after), over the 4.5 MiB bound"
+        "System::new peaked at {peak} B ({held} B held after), over the 1 MiB bound"
     );
-    let pages: usize = (0..4)
-        .map(|app| sys.os().page_table(app).mapped_pages())
-        .sum();
+    // Every break in a table's (vpn, pfn) sequence starts a run, which
+    // costs 8 bytes in the page table alone.
+    let (mut pages, mut runs) = (0usize, 0usize);
+    for app in 0..4 {
+        let mut prev = None;
+        for (vpn, pfn) in sys.os().page_table(app).iter() {
+            pages += 1;
+            runs += usize::from(prev != Some((vpn.wrapping_sub(1), pfn.wrapping_sub(1))));
+            prev = Some((vpn, pfn));
+        }
+    }
     assert!(
-        pages > 400_000 && held >= pages as isize * 8,
-        "{pages} pages mapped in {held} B: is the allocator counting?"
+        pages > 400_000 && runs > 10_000 && held >= runs as isize * 8,
+        "{pages} pages in {runs} runs held in {held} B: is the allocator counting?"
     );
+}
+
+#[test]
+fn scattered_radix_map_holds_at_most_1_percent_over_dense_chunks() {
+    // Every frame of a 2 GiB machine at capacity scale 1 gets a random
+    // value, in an order that jumps between chunks: no two neighbours are
+    // affine, so every chunk ends up dense. The largest key goes first, so
+    // the chunk index is sized once, at 1024 slots.
+    const FRAMES: u64 = 524_288;
+    let mut rng = DetRng::new(0x005C_A77E, 0);
+    let (map, held) = held_bytes(|| {
+        let mut map = RadixMap::new();
+        map.insert(FRAMES - 1, 0);
+        for i in 0..FRAMES {
+            let key = i.wrapping_mul(0x9E37_79B1) % FRAMES;
+            map.insert(key, rng.below(u64::from(u32::MAX)));
+        }
+        map
+    });
+    // A dense radix holds an 8-byte slot and a 2 KiB array per chunk; the
+    // run-coded one a 24-byte slot and the same array.
+    let chunks = (FRAMES / 512) as isize;
+    let dense = chunks * (8 + 2048);
+    assert!(
+        held * 100 <= dense * 101,
+        "scattered map holds {held} B, over 1% above the dense radix's {dense} B"
+    );
+    assert!(
+        held >= chunks * 2048,
+        "measured {held} B: is the allocator counting?"
+    );
+    assert_eq!(map.iter().count() as u64, FRAMES);
 }

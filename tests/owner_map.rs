@@ -1,5 +1,5 @@
-//! The dense radix map behind the page tables and the OS's frame → owner
-//! table.
+//! The run-coded radix map behind the page tables and the OS's frame →
+//! owner table.
 //!
 //! `RadixMap` is fuzzed against a `BTreeMap<u64, u64>` reference: 100k
 //! seeded insert/remove/get operations over the frame range of a 2 GiB
@@ -8,6 +8,18 @@
 //! tail above it, so lazily allocated chunks and the growth of the chunk
 //! index are both exercised. Values are drawn below the map's 32-bit
 //! absent sentinel; a wider value or the sentinel itself must panic.
+//! Random values make every key its own run, so that fuzz mostly drives
+//! chunks into their dense form.
+//!
+//! A second fuzz sends the map the OS's own traffic: frames handed out in
+//! 32-page round-robin batches of consecutive vpns (`System::new`'s
+//! prefault), so chunks hold long affine runs; then single-frame remaps
+//! and removals inside those runs (`Os::swap_frames`, `Os::move_page_to`),
+//! inserts that restore a removed value and re-join the split run, and
+//! finally bursts of random values into a few chunks, enough to force
+//! their switch to the dense form. After every operation the touched key
+//! and its two neighbours must read as in the reference, and at the end
+//! iteration must match it in both directions.
 //!
 //! At the OS level, a Heter-Migrate machine (low-power-first placement
 //! plus the migration engine) runs until pages have been both moved into
@@ -80,8 +92,107 @@ fn fuzz(seed: u64, ops: usize) {
         }
     }
     let got: Vec<(u64, u64)> = map.iter().collect();
-    let want: Vec<(u64, u64)> = reference.into_iter().collect();
+    let want: Vec<(u64, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got, want, "iteration must ascend by key like the reference");
+    let got: Vec<(u64, u64)> = map.iter().rev().collect();
+    let want: Vec<(u64, u64)> = reference.iter().rev().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want, "reversed iteration must descend by key");
+}
+
+/// Compare the map with the reference at `k` and both its neighbours.
+fn check_around(map: &RadixMap, reference: &BTreeMap<u64, u64>, k: u64, op: &str) {
+    for key in [k.saturating_sub(1), k, k + 1] {
+        assert_eq!(
+            map.get(key),
+            reference.get(&key).copied(),
+            "{op}: get {key:#x}"
+        );
+    }
+}
+
+fn affine_fuzz(seed: u64, ops: usize) {
+    let mut rng = DetRng::new(seed, 1);
+    let mut map = RadixMap::new();
+    let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+    // Prefault: four apps take turns mapping up to 32 consecutive vpns of
+    // their own onto the next free frames; a short batch ends a segment.
+    let mut vpn = [0u64, 1 << 24, 2 << 24, 3 << 24];
+    let mut pfn = 0u64;
+    while pfn < 60_000 {
+        for next in &mut vpn {
+            let batch = if rng.below(4) == 0 {
+                1 + rng.below(32)
+            } else {
+                32
+            };
+            for _ in 0..batch {
+                assert_eq!(map.insert(pfn, *next), None);
+                reference.insert(pfn, *next);
+                check_around(&map, &reference, pfn, "prefault");
+                pfn += 1;
+                *next += 1;
+            }
+            // A segment boundary: the app's next vpns lie elsewhere.
+            if batch < 32 {
+                *next += 1 + rng.below(1000);
+            }
+        }
+    }
+    let prefaulted = reference.clone();
+    for op in 0..ops {
+        let k = rng.below(pfn + 64);
+        match rng.below(8) {
+            // Swap: the frame now backs another page.
+            0 | 1 => {
+                let v = rng.below(4 << 24);
+                assert_eq!(map.insert(k, v), reference.insert(k, v), "op {op}");
+            }
+            // Move away: the frame is freed.
+            2 | 3 => assert_eq!(map.remove(k), reference.remove(&k), "op {op}"),
+            // Restore the prefault's value, re-joining a split run.
+            4 | 5 => {
+                if let Some(&v) = prefaulted.get(&k) {
+                    assert_eq!(map.insert(k, v), reference.insert(k, v), "op {op}");
+                }
+            }
+            // Continue the run ending just below `k`.
+            6 => {
+                if let Some(&v) = reference.get(&k.wrapping_sub(1)) {
+                    assert_eq!(map.insert(k, v + 1), reference.insert(k, v + 1), "op {op}");
+                }
+            }
+            // Scatter random values over one chunk, past its run bound.
+            _ if op % 64 == 0 => {
+                let base = k / 512 * 512;
+                for _ in 0..200 {
+                    let key = base + rng.below(512);
+                    let v = rng.below(u64::from(u32::MAX));
+                    assert_eq!(map.insert(key, v), reference.insert(key, v));
+                    check_around(&map, &reference, key, "scatter");
+                }
+            }
+            _ => {}
+        }
+        check_around(&map, &reference, k, &format!("op {op}"));
+    }
+    let got: Vec<(u64, u64)> = map.iter().collect();
+    let want: Vec<(u64, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want, "iteration must ascend by key like the reference");
+    let got: Vec<(u64, u64)> = map.iter().rev().collect();
+    let want: Vec<(u64, u64)> = reference.iter().rev().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want, "reversed iteration must descend by key");
+}
+
+#[test]
+fn radix_map_matches_btreemap_on_affine_traffic() {
+    affine_fuzz(0x00AF_F19E, 50_000);
+}
+
+#[test]
+fn radix_map_affine_seed_sweep() {
+    for seed in 1..=6 {
+        affine_fuzz(seed, 5_000);
+    }
 }
 
 #[test]
