@@ -18,13 +18,19 @@
 use crate::hierarchy::CoreHierarchy;
 use crate::os::Os;
 use moca_common::addr::{LineAddr, PAGE_SIZE};
-use moca_common::DetMap;
+use moca_common::units::narrow_u32;
 use moca_common::{Cycle, ModuleKind};
 use moca_dram::{AddressMapper, Channel};
 use serde::{Deserialize, Serialize};
 
 /// Lines per page (64 with 4 KiB pages and 64 B lines).
 const LINES_PER_PAGE: u64 = PAGE_SIZE / moca_common::addr::CACHE_LINE_SIZE;
+
+/// DRAM reads logged before they are folded into the epoch's heat table:
+/// 16 KiB of pfns, allocated once. An epoch of the capacity-scale-1 3L1B
+/// run logs 10–15k reads over about 5k pages, so a fold sorts a full log
+/// about three times an epoch.
+const READ_LOG: usize = 4096;
 
 /// Migration-engine parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -63,16 +69,155 @@ pub struct MigrationStats {
     pub dirty_writebacks: u64,
 }
 
+/// Add `adds`' counts into `table`. Both are sorted by pfn with each pfn
+/// once; a pfn already in `table` gets the sum, a new one goes in at its
+/// place. A counting pass finds the new pfns, the table grows by exactly
+/// that many slots, and one backward pass merges in place, so no second
+/// buffer is needed. `adds` is called once per pass.
+fn merge_add<I>(table: &mut Vec<(u32, u32)>, adds: impl Fn() -> I)
+where
+    I: DoubleEndedIterator<Item = (u32, u32)>,
+{
+    let old = table.len();
+    let (mut i, mut new) = (0, 0);
+    for (pfn, _) in adds() {
+        while i < old && table[i].0 < pfn {
+            i += 1;
+        }
+        new += usize::from(i == old || table[i].0 != pfn);
+    }
+    table.reserve_exact(new);
+    table.resize(old + new, (0, 0));
+    // Old entries not yet moved are `table[..r]`; `table[w..]` is merged.
+    let (mut r, mut w) = (old, old + new);
+    for (pfn, n) in adds().rev() {
+        while r > 0 && table[r - 1].0 > pfn {
+            r -= 1;
+            w -= 1;
+            table[w] = table[r];
+        }
+        w -= 1;
+        table[w] = if r > 0 && table[r - 1].0 == pfn {
+            r -= 1;
+            (pfn, table[r].1 + n)
+        } else {
+            (pfn, n)
+        };
+    }
+    debug_assert_eq!(r, w, "every new pfn found its slot");
+}
+
+/// Per-page heat as flat `(pfn, count)` arrays sorted by pfn: this epoch's
+/// DRAM reads and the fast residents' decayed heat. Walking an array
+/// ascends by pfn, so candidate collection (and thus victim selection) is
+/// independent of the order in which pages were read.
+struct Heat {
+    /// pfns of the reads not yet folded into `epoch`, one per read. Its
+    /// capacity, fixed at construction, is the fold interval.
+    log: Vec<u32>,
+    /// Reads per pfn this epoch, up to the last fold.
+    epoch: Vec<(u32, u32)>,
+    /// Exponentially decayed heat of the pages resident in the fast
+    /// modules (so cold residents can be identified for demotion). A
+    /// resident whose heat decays to zero stays: it is the first victim.
+    resident: Vec<(u32, u32)>,
+}
+
+impl Heat {
+    /// Empty tables with a read log of `log_capacity` entries.
+    fn new(log_capacity: usize) -> Heat {
+        Heat {
+            log: Vec::with_capacity(log_capacity),
+            epoch: Vec::new(),
+            resident: Vec::new(),
+        }
+    }
+
+    /// Log one DRAM read of `pfn`, folding the log first if it is full.
+    #[inline]
+    fn record(&mut self, pfn: u32) {
+        if self.log.len() == self.log.capacity() {
+            self.fold();
+        }
+        self.log.push(pfn);
+    }
+
+    /// Fold the logged reads into `epoch` and empty the log.
+    fn fold(&mut self) {
+        self.log.sort_unstable();
+        merge_add(&mut self.epoch, || {
+            self.log
+                .chunk_by(|a, b| a == b)
+                .map(|reads| (reads[0], narrow_u32(reads.len() as u64)))
+        });
+        self.log.clear();
+    }
+
+    /// Close the epoch: halve every resident's heat, add this epoch's reads
+    /// of fast-module pages to their heat, and return the promotion
+    /// candidates: the other pages read at least `heat_threshold` times,
+    /// hottest first (ties to the lower pfn), at most
+    /// `max_moves_per_epoch`. Reads of frames outside every module count
+    /// for nothing. The list's buffer comes back through
+    /// [`Heat::recycle`].
+    fn close_epoch(
+        &mut self,
+        cfg: &MigrationConfig,
+        kind_of: impl Fn(u64) -> Option<ModuleKind>,
+    ) -> Vec<(u32, u32)> {
+        self.fold();
+        for (_, h) in &mut self.resident {
+            *h /= 2;
+        }
+        let fast = |pfn: u32| kind_of(u64::from(pfn)).map(|k| cfg.fast_kinds.contains(&k));
+        merge_add(&mut self.resident, || {
+            self.epoch
+                .iter()
+                .copied()
+                .filter(|&(pfn, _)| fast(pfn) == Some(true))
+        });
+        let mut candidates = std::mem::take(&mut self.epoch);
+        candidates.retain(|&(pfn, h)| fast(pfn) == Some(false) && h >= cfg.heat_threshold);
+        // Explicit tie-break: heat descending, then pfn ascending, so the
+        // order is a function of the counts alone.
+        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        candidates.truncate(cfg.max_moves_per_epoch);
+        candidates
+    }
+
+    /// Take back the buffer [`Heat::close_epoch`] lent out, for the next
+    /// epoch's reads.
+    fn recycle(&mut self, mut candidates: Vec<(u32, u32)>) {
+        candidates.clear();
+        self.epoch = candidates;
+    }
+
+    /// The coldest resident other than `exclude` whose frame is `in_use`,
+    /// with its heat; ties go to the lower pfn.
+    fn coldest_resident(&self, exclude: u32, in_use: impl Fn(u64) -> bool) -> Option<(u32, u32)> {
+        self.resident
+            .iter()
+            .copied()
+            .filter(|&(pfn, _)| pfn != exclude && in_use(u64::from(pfn)))
+            .min_by_key(|&(pfn, h)| (h, pfn))
+    }
+
+    /// Set `pfn`'s resident heat, adding it in order if it is new.
+    fn set_resident(&mut self, pfn: u32, heat: u32) {
+        match self.resident.binary_search_by_key(&pfn, |&(p, _)| p) {
+            Ok(i) => self.resident[i].1 = heat,
+            Err(i) => {
+                self.resident.reserve_exact(1);
+                self.resident.insert(i, (pfn, heat));
+            }
+        }
+    }
+}
+
 /// The per-page heat tracker + epoch mover.
 pub struct Migrator {
     cfg: MigrationConfig,
-    /// DRAM reads per pfn in the current epoch. Ordered so that candidate
-    /// collection (and thus victim selection) is independent of the order in
-    /// which pages were first touched.
-    heat: DetMap<u64, u32>,
-    /// Exponentially decayed heat of pages currently resident in the fast
-    /// modules (so cold residents can be identified for demotion).
-    resident_heat: DetMap<u64, u32>,
+    heat: Heat,
     next_epoch: Cycle,
     stats: MigrationStats,
 }
@@ -83,8 +228,7 @@ impl Migrator {
         Migrator {
             next_epoch: cfg.epoch_cycles,
             cfg,
-            heat: DetMap::new(),
-            resident_heat: DetMap::new(),
+            heat: Heat::new(READ_LOG),
             stats: MigrationStats::default(),
         }
     }
@@ -97,7 +241,7 @@ impl Migrator {
     /// Record one DRAM read completion.
     #[inline]
     pub fn record_read(&mut self, line: LineAddr) {
-        *self.heat.entry(line.pfn()).or_insert(0) += 1;
+        self.heat.record(narrow_u32(line.pfn()));
     }
 
     /// Whether the epoch boundary has been reached.
@@ -125,34 +269,14 @@ impl Migrator {
         self.next_epoch = now + self.cfg.epoch_cycles;
         self.stats.epochs += 1;
 
-        // Decay resident heat and merge this epoch's observations.
-        for v in self.resident_heat.values_mut() {
-            *v /= 2;
-        }
-        // moca-lint: allow(hot-alloc): epoch-rate path — runs once per migration epoch, not per cycle
-        let mut candidates: Vec<(u64, u32)> = Vec::new();
-        for (&pfn, &h) in &self.heat {
-            match os.frames().kind_of(pfn) {
-                Some(k) if self.cfg.fast_kinds.contains(&k) => {
-                    *self.resident_heat.entry(pfn).or_insert(0) += h;
-                }
-                Some(_) if h >= self.cfg.heat_threshold => candidates.push((pfn, h)),
-                Some(_) => {}
-                None => {}
-            }
-        }
-        self.heat.clear();
-        // Explicit tie-break: heat descending, then pfn ascending. The heat
-        // table already iterates in pfn order (DetMap), so this sort — and
-        // everything downstream of it — is identical run to run.
-        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(self.cfg.max_moves_per_epoch);
-
-        for (pfn, h) in candidates {
+        let frames = os.frames();
+        let candidates = self.heat.close_epoch(&self.cfg, |pfn| frames.kind_of(pfn));
+        for &(pfn, h) in &candidates {
             if self.promote(now, pfn, h, os, hiers, channels, mapper) {
                 self.stats.promotions += 1;
             }
         }
+        self.heat.recycle(candidates);
         #[cfg(debug_assertions)]
         os.check_invariants().unwrap_or_else(|e| {
             // moca-lint: allow(panic-in-hot): debug-only conservation check; a violation must abort
@@ -169,35 +293,30 @@ impl Migrator {
     fn promote(
         &mut self,
         now: Cycle,
-        pfn: u64,
+        pfn: u32,
         heat: u32,
         os: &mut Os,
         hiers: &mut [CoreHierarchy],
         channels: &mut [Channel],
         mapper: &AddressMapper,
     ) -> bool {
+        let from = u64::from(pfn);
         for kind in self.cfg.fast_kinds {
-            if let Some(new_pfn) = os.move_page_to(pfn, kind) {
-                self.pay_copy_costs(now, pfn, new_pfn, hiers, channels, mapper);
-                self.resident_heat.insert(new_pfn, heat);
+            if let Some(new_pfn) = os.move_page_to(from, kind) {
+                self.pay_copy_costs(now, from, new_pfn, hiers, channels, mapper);
+                self.heat.set_resident(narrow_u32(new_pfn), heat);
                 return true;
             }
         }
         // No free fast frame: find the coldest resident clearly colder than
         // the candidate.
-        let victim = self
-            .resident_heat
-            .iter()
-            .filter(|&(&v, _)| os.is_owned(v) && v != pfn)
-            .min_by_key(|&(&v, &h)| (h, v))
-            .map(|(&v, &h)| (v, h));
-        match victim {
-            Some((victim_pfn, victim_heat)) if victim_heat * 2 < heat => {
-                os.swap_frames(pfn, victim_pfn);
-                self.pay_copy_costs(now, pfn, victim_pfn, hiers, channels, mapper);
+        let frames = os.frames();
+        match self.heat.coldest_resident(pfn, |v| frames.is_allocated(v)) {
+            Some((victim, victim_heat)) if victim_heat * 2 < heat => {
+                os.swap_frames(from, u64::from(victim));
+                self.pay_copy_costs(now, from, u64::from(victim), hiers, channels, mapper);
                 // The candidate's heat now lives at the victim's old frame.
-                self.resident_heat.remove(&victim_pfn);
-                self.resident_heat.insert(victim_pfn, heat);
+                self.heat.set_resident(victim, heat);
                 self.stats.demotions += 1;
                 true
             }
@@ -229,6 +348,9 @@ impl Migrator {
 }
 
 #[cfg(test)]
+mod heat_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -245,8 +367,8 @@ mod tests {
         m.record_read(LineAddr(0));
         m.record_read(LineAddr(1)); // same 4 KiB page
         m.record_read(LineAddr(64)); // next page
-        assert_eq!(m.heat.get(&0), Some(&2));
-        assert_eq!(m.heat.get(&1), Some(&1));
+        m.heat.fold();
+        assert_eq!(m.heat.epoch, vec![(0, 2), (1, 1)]);
     }
 
     /// Determinism regression: two migrators fed the *same multiset* of heat

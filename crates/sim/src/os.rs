@@ -3,11 +3,12 @@
 
 use crate::metrics::PlacementReport;
 use moca_common::addr::{PhysAddr, VirtAddr};
+use moca_common::bitset::TwoLevelBitmap;
 use moca_common::units::narrow_u32;
 use moca_common::{AppId, Cycle, ObjectClass};
 use moca_telemetry::{Event, EventIntent, Telemetry};
 use moca_vm::layout::PageIntent;
-use moca_vm::{FrameSpace, PagePlacementPolicy, PageTable, RadixMap, Tlb};
+use moca_vm::{FrameSpace, PagePlacementPolicy, PageTable, Tlb};
 
 /// Telemetry's mirror of [`PageIntent`] (the telemetry crate sits below the
 /// VM layer and cannot name it directly).
@@ -32,19 +33,15 @@ pub struct Translation {
 }
 
 /// The OS state: frame space, policy, page tables (one per app), TLBs (one
-/// per core).
+/// per core). The page tables are the only per-page map: a frame's owner
+/// is derived from them on demand ([`Os::owner_of`]), and whether a frame
+/// is in use is the frame space's own bit.
 pub struct Os {
     frames: FrameSpace,
     policy: Box<dyn PagePlacementPolicy>,
     page_tables: Vec<PageTable>,
     tlbs: Vec<Tlb>,
     placement: PlacementReport,
-    /// Reverse map frame → the vpn mapped to it, maintained for page
-    /// migration. The owning app is not stored: it is the one page table
-    /// that maps that vpn to the frame ([`Os::owner_of`]). Read only by
-    /// exact pfn, never iterated by the simulation, so a dense radix is
-    /// order-safe.
-    owners: RadixMap,
     tlb_miss_penalty: Cycle,
     page_fault_penalty: Cycle,
 }
@@ -66,7 +63,6 @@ impl Os {
             policy,
             page_tables: (0..apps).map(|_| PageTable::new()).collect(),
             tlbs: (0..apps).map(|_| Tlb::new(tlb_entries)).collect(),
-            owners: RadixMap::new(),
             tlb_miss_penalty,
             page_fault_penalty,
         }
@@ -203,25 +199,19 @@ impl Os {
             }
         }
         self.page_tables[core_idx].map(va.vpn(), pfn);
-        self.owners.insert(pfn, va.vpn());
         pfn
     }
 
-    /// Owner `(app, vpn)` of a physical frame, if mapped. The app is found
-    /// by probing each page table for the stored vpn (at most one radix
-    /// lookup per app); only page migration and debug checks ask.
+    /// Owner `(app, vpn)` of a physical frame, if mapped: a reverse scan
+    /// of each page table's runs ([`PageTable::vpn_of`]), O(runs), about
+    /// 23k at capacity scale 1. Only page migration (once per page it
+    /// moves, twice per frame swap) and tests ask, so the OS keeps no
+    /// frame-keyed map for it.
     pub fn owner_of(&self, pfn: u64) -> Option<(usize, u64)> {
-        let vpn = self.owners.get(pfn)?;
-        let app = self
-            .page_tables
+        self.page_tables
             .iter()
-            .position(|pt| pt.translate_vpn(vpn) == Some(pfn))?;
-        Some((app, vpn))
-    }
-
-    /// Whether a physical frame backs a mapped page.
-    pub fn is_owned(&self, pfn: u64) -> bool {
-        self.owners.get(pfn).is_some()
+            .enumerate()
+            .find_map(|(app, pt)| pt.vpn_of(pfn).map(|vpn| (app, vpn)))
     }
 
     /// Swap the physical frames behind two mapped pages (the OS page
@@ -240,8 +230,6 @@ impl Os {
         self.page_tables[app_b].unmap(vpn_b);
         self.page_tables[app_a].map(vpn_a, b_pfn);
         self.page_tables[app_b].map(vpn_b, a_pfn);
-        self.owners.insert(b_pfn, vpn_a);
-        self.owners.insert(a_pfn, vpn_b);
         // TLB shootdown (conservatively on all cores — vpns may collide
         // across address spaces).
         for tlb in &mut self.tlbs {
@@ -252,16 +240,15 @@ impl Os {
     /// Move a mapped page onto a currently free frame of `kind`; returns
     /// the new frame, or `None` when that module has no free frame.
     pub fn move_page_to(&mut self, pfn: u64, kind: moca_common::ModuleKind) -> Option<u64> {
-        let (app, vpn) = self.owner_of(pfn)?;
-        // Find the region of the requested kind with space.
+        // Find the region of the requested kind with space, before the
+        // owner scan: a full module is the common answer.
         let region = (0..self.frames.regions().len()).find(|&i| {
             self.frames.regions()[i].kind == kind && self.frames.free_in_region(i) > 0
         })?;
+        let (app, vpn) = self.owner_of(pfn)?;
         let new_pfn = self.frames.alloc_in_region(region)?;
         self.page_tables[app].unmap(vpn);
         self.page_tables[app].map(vpn, new_pfn);
-        self.owners.remove(pfn);
-        self.owners.insert(new_pfn, vpn);
         self.frames.free(pfn);
         for tlb in &mut self.tlbs {
             tlb.flush();
@@ -269,34 +256,41 @@ impl Os {
         Some(new_pfn)
     }
 
-    /// Full validation of the per-page bookkeeping: the owner table is the
-    /// exact inverse of the page tables, no frame backs two pages, and the
-    /// owned frames are exactly the allocated ones. O(mapped pages); a
+    /// Full validation of the per-page bookkeeping: every mapping's frame
+    /// is allocated, no frame backs two pages, and the mapped pages are
+    /// exactly as many as the allocated frames (and as the page tables'
+    /// own counts), so each allocated frame has exactly one owner.
+    /// O(mapped pages) with a one-bit-per-frame scratch bitmap; a
     /// debug/test hook that returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut owned = 0;
-        for (pfn, vpn) in self.owners.iter() {
-            owned += 1;
-            if self.owner_of(pfn).is_none() || !self.frames.is_allocated(pfn) {
+        let mut seen = TwoLevelBitmap::new(self.frames.total_frames());
+        let mut mapped = 0u64;
+        for (app, pt) in self.page_tables.iter().enumerate() {
+            for (vpn, pfn) in pt.iter() {
+                mapped += 1;
+                // An allocated frame lies below `total_frames`.
+                let fault = if !self.frames.is_allocated(pfn) {
+                    "free"
+                } else if !seen.acquire(pfn) {
+                    "mapped twice"
+                } else {
+                    continue;
+                };
                 // moca-lint: allow(hot-alloc): debug-only conservation check; allocates only to report a violation
                 return Err(format!(
-                    "frame {pfn:#x} (allocated: {}) is owned by vpn {vpn:#x}, which no app maps to it",
-                    self.frames.is_allocated(pfn)
+                    "app {app} maps vpn {vpn:#x} to frame {pfn:#x}, which is {fault}"
                 ));
             }
         }
-        // Every owner entry maps back to a distinct mapping of an allocated
-        // frame, so equal counts make the tables inverse (each mapping is
-        // its frame's owner, no frame is mapped twice) and leave no frame
-        // allocated without an owner.
-        let mapped: usize = self.page_tables.iter().map(PageTable::mapped_pages).sum();
+        let counted: usize = self.page_tables.iter().map(PageTable::mapped_pages).sum();
         let allocated: u64 = (0..self.frames.regions().len())
             .map(|i| self.frames.regions()[i].frames - self.frames.free_in_region(i))
             .sum();
-        if mapped != owned || allocated != owned as u64 {
+        if mapped != allocated || counted as u64 != mapped {
             // moca-lint: allow(hot-alloc): debug-only conservation check; allocates only to report a violation
             return Err(format!(
-                "{mapped} pages mapped, {owned} frames owned, {allocated} frames allocated"
+                "{mapped} pages mapped ({counted} counted by the page tables), \
+                 {allocated} frames allocated"
             ));
         }
         Ok(())

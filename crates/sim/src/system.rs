@@ -156,6 +156,9 @@ struct EngineWork {
     skipped_cycles: u64,
     /// Channel ticks that ran (past the wake gate).
     channel_ticks: u64,
+    /// Core ticks that ran (past the wake gate), counted as each ticked
+    /// core is settled.
+    core_ticks: u64,
 }
 
 pub(crate) struct Port<'a> {
@@ -220,7 +223,7 @@ impl MemPort for Port<'_> {
 }
 
 /// Debug-build conservation check: the frame allocator's own invariants,
-/// and the OS's owner table as the exact inverse of its page tables.
+/// and the page tables as a one-to-one map onto the allocated frames.
 #[cfg(debug_assertions)]
 fn check_page_bookkeeping(os: &Os, when: &str) {
     os.frames()
@@ -787,12 +790,13 @@ impl System {
     }
 
     /// Phase 3 bookkeeping for core `i` right after its tick at `now`,
-    /// given its `sleep_state`: note a first crossing of the commit
+    /// given its `sleep_state`: count the tick, note a first crossing of the commit
     /// target, flag deferred writes, and reschedule the core: its `wake_at`
     /// becomes the next cycle while runnable, its wake event while
     /// asleep, `Cycle::MAX` once finished. The return value says the core
     /// is runnable next cycle.
     fn settle(&mut self, i: usize, now: Cycle, sleep: Option<Cycle>) -> bool {
+        self.work.core_ticks += 1;
         if !self.crossed[i] && self.cores[i].committed() >= self.commit_target {
             self.crossed[i] = true;
             self.below_target -= 1;
@@ -945,6 +949,7 @@ impl System {
             ("engine.skips", w.skips),
             ("engine.skipped_cycles", w.skipped_cycles),
             ("engine.channel_ticks", w.channel_ticks),
+            ("engine.core_ticks", w.core_ticks),
         ] {
             let id = reg.counter(name);
             reg.add(id, v);
@@ -1103,8 +1108,9 @@ impl System {
             }
         }
 
-        // A missed owner update anywhere in the run fails here, not only
-        // right after the prefault or a migration epoch.
+        // A frame mapped twice or left allocated without a mapping anywhere
+        // in the run fails here, not only right after the prefault or a
+        // migration epoch.
         #[cfg(debug_assertions)]
         {
             check_page_bookkeeping(&self.os, "at end of run");

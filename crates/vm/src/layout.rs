@@ -17,10 +17,10 @@
 //!
 //! Each heap partition spans 1 TiB, far beyond any simulated machine's
 //! physical memory, so no workload at any capacity scale overflows one.
-//! Every address stays below 2^44, so every vpn fits the 32-bit values of
-//! the OS's frame → vpn owner table. Page tables key each region by its
-//! offset from its own base (the stack by its offset below the top), so
-//! the width of the gaps costs them nothing.
+//! Page tables key each region by its offset from its own base (the stack
+//! by its offset below the top), so the width of the gaps costs them
+//! nothing. No structure stores a vpn in fewer than 64 bits: a frame's
+//! owner is found by scanning the page tables, not stored.
 
 use moca_common::addr::{VirtAddr, PAGE_SIZE};
 use moca_common::{ObjectClass, Segment};
@@ -95,12 +95,6 @@ pub fn validate_layout() -> Result<(), String> {
     if !STACK_TOP.is_multiple_of(PAGE_SIZE) {
         return Err(format!("stack top {STACK_TOP:#x} is not page-aligned"));
     }
-    // The OS's owner table stores vpns as 32-bit values.
-    if STACK_TOP > 1 << 44 {
-        return Err(format!(
-            "stack top {STACK_TOP:#x} is above 2^44, so its vpns overflow 32 bits"
-        ));
-    }
     Ok(())
 }
 
@@ -161,12 +155,11 @@ impl PageIntent {
     }
 }
 
-/// Bump allocator over the typed virtual heap partitions plus the stack and
-/// data segments — MOCA's modified `malloc` (§IV-D) at the virtual level.
+/// Bump allocator over the typed virtual heap partitions plus the stack —
+/// MOCA's modified `malloc` (§IV-D) at the virtual level.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HeapLayout {
     cursors: [u64; 3],
-    data_cursor: u64,
     stack_cursor: u64,
 }
 
@@ -181,7 +174,6 @@ impl HeapLayout {
     pub fn new() -> HeapLayout {
         HeapLayout {
             cursors: [LAT_HEAP_BASE, BW_HEAP_BASE, POW_HEAP_BASE],
-            data_cursor: DATA_BASE,
             stack_cursor: STACK_TOP,
         }
     }
@@ -210,14 +202,6 @@ impl HeapLayout {
         va
     }
 
-    /// Allocate `size` bytes of global data.
-    pub fn alloc_data(&mut self, size: u64) -> VirtAddr {
-        let va = VirtAddr(self.data_cursor);
-        self.data_cursor += size.div_ceil(64) * 64;
-        assert!(self.data_cursor <= POW_HEAP_BASE, "data segment overflow");
-        va
-    }
-
     /// Reserve `size` bytes of stack (growing down). Returns the lowest
     /// address of the reservation.
     pub fn grow_stack(&mut self, size: u64) -> VirtAddr {
@@ -241,6 +225,12 @@ mod tests {
     fn segments_classified_by_range() {
         assert_eq!(segment_of_va(VirtAddr(CODE_BASE)), Segment::Code);
         assert_eq!(segment_of_va(VirtAddr(DATA_BASE)), Segment::Data);
+        assert_eq!(
+            segment_of_va(VirtAddr(POW_HEAP_BASE - 64)),
+            Segment::Data,
+            "the whole data segment, up to the first heap partition"
+        );
+        assert_eq!(PageIntent::of_va(VirtAddr(DATA_BASE)), PageIntent::Data);
         assert_eq!(segment_of_va(VirtAddr(POW_HEAP_BASE)), Segment::Heap);
         assert_eq!(segment_of_va(VirtAddr(LAT_HEAP_BASE + 4096)), Segment::Heap);
         assert_eq!(segment_of_va(VirtAddr(STACK_TOP - 8)), Segment::Stack);
@@ -274,14 +264,6 @@ mod tests {
         assert_eq!(a.0 % PAGE_SIZE, 0);
         assert!(b.0 < a.0);
         assert_eq!(segment_of_va(a), Segment::Stack);
-    }
-
-    #[test]
-    fn data_alloc_stays_in_data_segment() {
-        let mut h = HeapLayout::new();
-        let d = h.alloc_data(4096);
-        assert_eq!(segment_of_va(d), Segment::Data);
-        assert_eq!(PageIntent::of_va(d), PageIntent::Data);
     }
 
     #[test]

@@ -91,6 +91,18 @@ impl PageTable {
         pfn
     }
 
+    /// The vpn mapped to frame `pfn`, if any: the reverse of
+    /// [`PageTable::translate_vpn`], by a scan of every region's runs
+    /// ([`RadixMap::key_of`]), so O(runs) rather than a lookup.
+    pub fn vpn_of(&self, pfn: u64) -> Option<u64> {
+        let (below, stack) = self.regions.split_at(REGIONS - 1);
+        below
+            .iter()
+            .zip(ORIGINS)
+            .find_map(|(map, origin)| map.key_of(pfn).map(|key| origin + key))
+            .or_else(|| stack[0].key_of(pfn).map(|key| STACK_END - 1 - key))
+    }
+
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
         self.mapped
@@ -163,6 +175,21 @@ mod tests {
     #[should_panic(expected = "above the stack top")]
     fn mapping_above_the_stack_top_panics() {
         PageTable::new().map(STACK_END, 1);
+    }
+
+    #[test]
+    fn vpn_of_inverts_every_region() {
+        let mut pt = PageTable::new();
+        let vpns = [0x400, 0x10000, POW_HEAP_BASE / PAGE_SIZE + 3, STACK_END - 1];
+        for (pfn, &vpn) in vpns.iter().enumerate() {
+            pt.map(vpn, 10 * pfn as u64);
+        }
+        for (pfn, &vpn) in vpns.iter().enumerate() {
+            assert_eq!(pt.vpn_of(10 * pfn as u64), Some(vpn));
+        }
+        assert_eq!(pt.vpn_of(5), None);
+        pt.unmap(STACK_END - 1);
+        assert_eq!(pt.vpn_of(30), None);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! `u64 → u32` map over a two-level radix of run-coded or dense chunks,
-//! shared by the page table (vpn → pfn) and the OS's reverse frame map
-//! (pfn → owning vpn).
+//! `u64 → u32` map over a two-level radix of run-coded or dense chunks:
+//! the page table's vpn → pfn map, one per layout region.
 
 use moca_common::units::{narrow_u32, narrow_usize};
 
@@ -12,9 +11,14 @@ const CHUNK: usize = 512;
 /// of the 2 KiB array, so this bound binds before the byte cost does.
 const MAX_RUNS: usize = 64;
 
+/// Run slots a chunk's list grows by once it is full. Growing by a fixed
+/// step instead of doubling keeps at most this many spare slots per chunk
+/// (a removal that leaves more gives the excess back), and since a list
+/// holds at most [`MAX_RUNS`] runs, it reallocates at most 17 times.
+const RUN_STEP: usize = 4;
+
 /// Sentinel for "absent" in a dense chunk. Stored values are frame numbers
-/// (below 2^32 frames, or 16 TiB of 4 KiB pages) or vpns (below 2^32 for
-/// any virtual address below 2^44), so neither reaches it.
+/// (below 2^32 frames, or 16 TiB of 4 KiB pages), so none reaches it.
 const ABSENT: u32 = u32::MAX;
 
 /// Split a key into (chunk index, offset within chunk).
@@ -60,6 +64,21 @@ impl Run {
     }
 }
 
+/// Make room in `runs` for one more run: [`RUN_STEP`] slots more once the
+/// list is full.
+fn reserve_run(runs: &mut Vec<Run>) {
+    if runs.len() == runs.capacity() {
+        runs.reserve_exact(RUN_STEP);
+    }
+}
+
+/// Give back the slots past [`RUN_STEP`] spare ones after a run was removed.
+fn release_run(runs: &mut Vec<Run>) {
+    if runs.capacity() > runs.len() + RUN_STEP {
+        runs.shrink_to(runs.len() + RUN_STEP);
+    }
+}
+
 /// Number of runs that start at or before `off`; the run covering `off`,
 /// if any, is the last of them.
 #[inline]
@@ -88,11 +107,13 @@ fn carve(runs: &mut Vec<Run>, off: usize) -> Option<u32> {
     match (left.len, right.len) {
         (0, 0) => {
             runs.remove(i);
+            release_run(runs);
         }
         (0, _) => runs[i] = right,
         (_, 0) => runs[i] = left,
         _ => {
             runs[i] = left;
+            reserve_run(runs);
             runs.insert(i + 1, right);
         }
     }
@@ -113,6 +134,7 @@ fn fill(runs: &mut Vec<Run>, off: usize, value: u32) {
         (true, true) => {
             let right = runs.remove(i);
             runs[i - 1].len += 1 + right.len;
+            release_run(runs);
         }
         (true, false) => runs[i - 1].len += 1,
         (false, true) => {
@@ -121,7 +143,10 @@ fn fill(runs: &mut Vec<Run>, off: usize, value: u32) {
             r.len += 1;
             r.base = value;
         }
-        (false, false) => runs.insert(i, Run::single(off, value)),
+        (false, false) => {
+            reserve_run(runs);
+            runs.insert(i, Run::single(off, value));
+        }
     }
 }
 
@@ -156,6 +181,18 @@ impl Chunk {
         }
     }
 
+    /// Offset holding `value`, if any (the lowest, should several): a
+    /// scan of every run, or of every slot of a dense chunk.
+    fn offset_of(&self, value: u32) -> Option<usize> {
+        match self {
+            Chunk::Dense(values) => values.iter().position(|&v| v == value),
+            Chunk::Runs(runs) => runs
+                .iter()
+                .find(|r| value.wrapping_sub(r.base) < u32::from(r.len))
+                .map(|r| usize::from(r.start) + (value - r.base) as usize),
+        }
+    }
+
     /// Switch to the dense form if the runs passed [`MAX_RUNS`].
     fn bound_runs(&mut self) {
         if matches!(self, Chunk::Runs(runs) if runs.len() > MAX_RUNS) {
@@ -172,6 +209,12 @@ impl Chunk {
     fn check(&self) {
         if let Chunk::Runs(runs) = self {
             assert!(runs.len() <= MAX_RUNS, "{} runs in one chunk", runs.len());
+            assert!(
+                runs.capacity() <= runs.len() + RUN_STEP,
+                "{} run slots for {} runs",
+                runs.capacity(),
+                runs.len()
+            );
             assert!(runs.iter().all(|r| r.len > 0 && r.end() <= CHUNK));
             for pair in runs.windows(2) {
                 assert!(
@@ -208,16 +251,19 @@ impl Chunk {
 ///
 /// A run maps `len` consecutive keys to consecutive values, which is how
 /// the OS maps an object's pages at instantiation (§IV-E): consecutive
-/// vpns land on consecutive frames, so a page table or owner chunk is a
-/// few dozen runs of 8 bytes instead of a 2 KiB array. An insert at or
-/// past a chunk's last run (the startup prefault's order) extends that run
-/// or appends one without searching; one elsewhere, like a removal,
-/// splits the covering run and rejoins neighbours that become affine.
-/// Once a chunk would hold more than 64 runs (page-granular
-/// migration scatters them) it switches to the dense `[u32; 512]` array.
+/// vpns land on consecutive frames, so a page-table chunk is a few dozen
+/// runs of 8 bytes instead of a 2 KiB array. An insert at or past a
+/// chunk's last run (the startup prefault's order) extends that run or
+/// appends one without searching; one elsewhere, like a removal, splits
+/// the covering run and rejoins neighbours that become affine. Once a
+/// chunk would hold more than 64 runs (page-granular migration scatters
+/// them) it switches to the dense `[u32; 512]` array. Run lists grow four
+/// slots at a time and the chunk index grows to exactly the chunks in
+/// use, so neither carries doubling slack.
 ///
 /// A lookup indexes the chunk, then either binary-searches its runs (at
-/// most seven probes) or reads the dense array. An unused chunk costs its
+/// most seven probes) or reads the dense array. The reverse query
+/// [`RadixMap::key_of`] scans every run instead. An unused chunk costs its
 /// 24-byte slot in the top level. The map never exposes an order except
 /// through [`RadixMap::iter`], which walks chunks and runs in index order
 /// and so ascends by key exactly like a `DetMap`. It keeps no count;
@@ -250,6 +296,7 @@ impl RadixMap {
         );
         let (ci, off) = split(key);
         if ci >= self.chunks.len() {
+            self.chunks.reserve_exact(ci + 1 - self.chunks.len());
             self.chunks.resize_with(ci + 1, Chunk::default);
         }
         let chunk = &mut self.chunks[ci];
@@ -271,6 +318,7 @@ impl RadixMap {
                     old
                 }
                 _ => {
+                    reserve_run(runs);
                     runs.push(Run::single(off, value));
                     None
                 }
@@ -296,6 +344,17 @@ impl RadixMap {
         #[cfg(debug_assertions)]
         chunk.check();
         old.map(u64::from)
+    }
+
+    /// Key holding `value`, if any (the lowest, should several). Scans
+    /// every run and dense slot, so it costs O(runs) where [`RadixMap::get`]
+    /// costs seven probes; it serves rare reverse queries.
+    pub fn key_of(&self, value: u64) -> Option<u64> {
+        let value = u32::try_from(value).ok().filter(|&v| v != ABSENT)?;
+        self.chunks
+            .iter()
+            .enumerate()
+            .find_map(|(ci, chunk)| chunk.offset_of(value).map(|off| (ci * CHUNK + off) as u64))
     }
 
     /// Iterate over `(key, value)` pairs in ascending key order (reversed,
@@ -392,6 +451,54 @@ mod tests {
         m.insert(0, 100);
         assert_eq!(runs(&m, 0), Some(vec![(0, 9, 100)]));
         assert_eq!(m.iter().next_back(), Some((8, 108)));
+    }
+
+    #[test]
+    fn run_lists_and_the_chunk_index_carry_no_doubling_slack() {
+        let spare = |m: &RadixMap| match &m.chunks[0] {
+            Chunk::Runs(runs) => runs.capacity() - runs.len(),
+            Chunk::Dense(_) => unreachable!("never more than MAX_RUNS runs"),
+        };
+        let mut m = RadixMap::new();
+        for i in 0..MAX_RUNS as u64 {
+            m.insert(2 * i, 10 * i);
+            assert!(spare(&m) < RUN_STEP, "{} spare after insert {i}", spare(&m));
+        }
+        for i in 0..MAX_RUNS as u64 {
+            m.remove(2 * i);
+            assert!(
+                spare(&m) <= RUN_STEP,
+                "{} spare after remove {i}",
+                spare(&m)
+            );
+        }
+        m.insert(5 * 512, 1);
+        assert_eq!(
+            m.chunks.capacity(),
+            6,
+            "the index holds exactly the chunks in use"
+        );
+    }
+
+    #[test]
+    fn key_of_inverts_runs_and_dense_chunks() {
+        let mut m = RadixMap::new();
+        for k in 0..10 {
+            m.insert(512 + k, 100 + k);
+        }
+        assert_eq!(m.key_of(104), Some(516));
+        assert_eq!(m.key_of(99), None);
+        assert_eq!(m.key_of(110), None);
+        assert_eq!(m.key_of(u64::from(u32::MAX)), None, "the absent sentinel");
+        assert_eq!(m.key_of(1 << 32), None, "wider than any stored value");
+        // A dense chunk answers too, and values elsewhere still resolve.
+        for i in 0..=MAX_RUNS as u64 {
+            m.insert(2 * i, 10_000 + 10 * i);
+        }
+        assert_eq!(runs(&m, 0), None);
+        assert_eq!(m.key_of(10_070), Some(14));
+        assert_eq!(m.key_of(10_075), None);
+        assert_eq!(m.key_of(109), Some(521));
     }
 
     #[test]

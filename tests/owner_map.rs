@@ -1,5 +1,5 @@
-//! The run-coded radix map behind the page tables and the OS's frame →
-//! owner table.
+//! The run-coded radix map behind the page tables, and the frame owners
+//! the OS derives from them.
 //!
 //! `RadixMap` is fuzzed against a `BTreeMap<u64, u64>` reference: 100k
 //! seeded insert/remove/get operations over the frame range of a 2 GiB
@@ -18,14 +18,18 @@
 //! inserts that restore a removed value and re-join the split run, and
 //! finally bursts of random values into a few chunks, enough to force
 //! their switch to the dense form. After every operation the touched key
-//! and its two neighbours must read as in the reference, and at the end
-//! iteration must match it in both directions.
+//! and its two neighbours must read as in the reference; at the end
+//! iteration must match it in both directions, and the reverse query
+//! `RadixMap::key_of` must find the lowest key holding each of a sample of
+//! values, and nothing for absent ones.
 //!
 //! At the OS level, a Heter-Migrate machine (low-power-first placement
 //! plus the migration engine) runs until pages have been both moved into
-//! free fast frames and swapped with cold residents. The owner table must
-//! then be exactly the inverse of the page tables. A missed owner update in
-//! `Os::swap_frames` or `Os::move_page_to` breaks that and fails here.
+//! free fast frames and swapped with cold residents. The page tables must
+//! then map the allocated frames one to one, and `Os::owner_of`, a reverse
+//! scan of the page tables, must invert them. A frame left allocated, freed
+//! while mapped or mapped twice by `Os::swap_frames` or
+//! `Os::move_page_to` fails here.
 
 use moca::LowPowerFirstPolicy;
 use moca_common::rng::DetRng;
@@ -97,6 +101,21 @@ fn fuzz(seed: u64, ops: usize) {
     let got: Vec<(u64, u64)> = map.iter().rev().collect();
     let want: Vec<(u64, u64)> = reference.iter().rev().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got, want, "reversed iteration must descend by key");
+    check_key_of(&map, &reference, &mut rng);
+}
+
+/// `key_of` against the reference for about 256 stored values spread over
+/// the map, and for values no key holds.
+fn check_key_of(map: &RadixMap, reference: &BTreeMap<u64, u64>, rng: &mut DetRng) {
+    let step = reference.len() / 256 + 1;
+    let lowest_key = |v: u64| reference.iter().find(|&(_, &x)| x == v).map(|(&k, _)| k);
+    for (_, &v) in reference.iter().step_by(step) {
+        assert_eq!(map.key_of(v), lowest_key(v), "key_of({v:#x})");
+    }
+    for _ in 0..64 {
+        let v = rng.below(u64::from(u32::MAX));
+        assert_eq!(map.key_of(v), lowest_key(v), "key_of({v:#x})");
+    }
 }
 
 /// Compare the map with the reference at `k` and both its neighbours.
@@ -181,6 +200,7 @@ fn affine_fuzz(seed: u64, ops: usize) {
     let got: Vec<(u64, u64)> = map.iter().rev().collect();
     let want: Vec<(u64, u64)> = reference.iter().rev().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got, want, "reversed iteration must descend by key");
+    check_key_of(&map, &reference, &mut rng);
 }
 
 #[test]

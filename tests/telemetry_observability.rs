@@ -208,6 +208,7 @@ fn jsonl_sink_streams_during_a_real_run() {
 /// shows up here. `engine.steps_reference` counts the cycles the loop
 /// would step without exact DRAM wakes (every cycle while a channel holds
 /// a request outside a refresh window); executing fewer is the point.
+/// `engine.core_ticks` counts the core ticks that ran past the wake gate.
 #[test]
 fn engine_work_counts_are_pinned_for_single_core_mcf() {
     use moca_common::ModuleKind;
@@ -234,8 +235,9 @@ fn engine_work_counts_are_pinned_for_single_core_mcf() {
         count("engine.skips"),
         count("engine.skipped_cycles"),
         count("engine.channel_ticks"),
+        count("engine.core_ticks"),
     ];
-    let [executed, reference, skips, skipped, _] = got;
+    let [executed, reference, skips, skipped, _, core_ticks] = got;
     assert!(
         executed < reference,
         "{executed} steps executed, {reference} in the reference loop"
@@ -244,9 +246,11 @@ fn engine_work_counts_are_pinned_for_single_core_mcf() {
         skips <= skipped && reference <= executed + skipped,
         "{got:?}"
     );
+    // One core: at most one tick per executed step.
+    assert!(core_ticks <= executed, "{got:?}");
     assert_eq!(
         got,
-        [14_274, 18_491, 2_727, 27_234, 5_459],
-        "[executed, reference, skips, skipped cycles, channel ticks]"
+        [14_274, 18_491, 2_727, 27_234, 5_459, 13_152],
+        "[executed, reference, skips, skipped cycles, channel ticks, core ticks]"
     );
 }
