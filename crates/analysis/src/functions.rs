@@ -1,11 +1,11 @@
 //! Function extraction and per-crate call graph over the token stream.
 //!
-//! The v2 analyzer's flow-aware passes (hot-path propagation, determinism
-//! taint tracking) need to know, per crate: which functions exist, where
-//! their bodies are, what each body calls, and which functions are
-//! reachable from the per-cycle hot roots. All of that is derived here
-//! from [`crate::lexer`] tokens — no syntax tree, just span arithmetic
-//! over a stream that already has literals and comments out of the way.
+//! The hot-path rules (`hot-alloc`, `panic-in-hot`) need to know, per
+//! crate: which functions exist, where their bodies are, what each body
+//! calls, and which functions are reachable from the per-cycle hot roots.
+//! All of that is derived here from [`crate::lexer`] tokens — no syntax
+//! tree, just span arithmetic over a stream that already has literals and
+//! comments out of the way.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -33,8 +33,6 @@ pub struct Call {
     pub name: String,
     /// `Type::name` when the call is path-qualified.
     pub qual: Option<String>,
-    /// 1-based line of the callee name token.
-    pub line: usize,
 }
 
 /// One function definition.
@@ -47,13 +45,9 @@ pub struct FnDef {
     pub qual: String,
     /// Index into the crate's file list.
     pub file: usize,
-    /// 1-based line of the `fn` keyword.
-    pub sig_line: usize,
     /// Token index range `[open_brace, close_brace]` of the body within
     /// the file's token stream; `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
-    /// 1-based line range `[first, last]` covered by the body.
-    pub body_lines: Option<(usize, usize)>,
     /// Call sites inside the body.
     pub calls: Vec<Call>,
 }
@@ -73,17 +67,16 @@ pub struct FnTable {
 }
 
 /// True if `name`/`qual` names a per-cycle root whose *transitive callees*
-/// are hot: `tick*`, `step`, `on_completion*`, `Channel::issue` (FR-FCFS
-/// command issue runs once per scheduled DRAM command), and the event
-/// wheel's entry points (`EventWheel::post` / `cancel` /
-/// `next_event_after` — every sleep, reschedule, and skip query goes
-/// through them, so their helpers are as hot as any tick body).
+/// are hot: `tick*`, `step`, `on_completion*`, and `issue` (FR-FCFS
+/// command issue, `Channel::issue`, runs once per scheduled DRAM command).
+/// The event wheel's entry points (`EventWheel::post` / `cancel` /
+/// `next_event_after`) stay roots while perfbench's replay times the
+/// wheel; the simulator itself no longer holds one.
 pub fn is_cycle_root(name: &str, qual: &str) -> bool {
     name.starts_with("tick")
         || name == "step"
         || name.starts_with("on_completion")
         || name == "issue"
-        || qual == "Channel::issue"
         || qual == "EventWheel::post"
         || qual == "EventWheel::cancel"
         || qual == "EventWheel::next_event_after"
@@ -148,7 +141,6 @@ impl FnTable {
                     None => name.clone(),
                 };
                 let (body, after) = fn_body_range(toks, k + 2);
-                let body_lines = body.map(|(a, b)| (toks[a].line, toks[b].line));
                 let calls = body
                     .map(|(a, b)| call_sites(toks, a, b))
                     .unwrap_or_default();
@@ -156,9 +148,7 @@ impl FnTable {
                     name,
                     qual,
                     file,
-                    sig_line: t.line,
                     body,
-                    body_lines,
                     calls,
                 });
                 // Resume right after the signature so nested items are
@@ -429,11 +419,7 @@ fn call_sites(toks: &[Token], a: usize, b: usize) -> Vec<Call> {
         }
         if toks.get(j + 1).is_some_and(|x| x.is_punct('(')) {
             let qual = prev_seg.map(|p| format!("{p}::{name}"));
-            calls.push(Call {
-                name,
-                qual,
-                line: t.line,
-            });
+            calls.push(Call { name, qual });
         }
         k = j + 1;
     }

@@ -1,6 +1,6 @@
 //! Dependency-free Rust lexer producing a token stream with line/column
-//! spans — the foundation the v2 analyzer (call-graph hot-path propagation,
-//! determinism taint tracking) is built on.
+//! spans — the foundation the token rules and the call-graph hot-path
+//! propagation are built on.
 //!
 //! The lexer is deliberately smaller than `rustc`'s: it distinguishes
 //! exactly the categories the lint rules care about — identifiers,

@@ -8,12 +8,11 @@
 //! cycle- or address-typed values. This crate enforces those conventions
 //! with a dependency-free Rust **lexer** ([`lexer`]: token stream with
 //! line/column spans — raw strings, nested block comments, char literals
-//! and lifetimes handled exactly), a per-crate **call graph**
-//! ([`functions`]: function spans, call sites, hot-root reachability), and
-//! a **taint pass** ([`taint`]: nondeterminism sources flowing into
-//! digests/telemetry), plus a `check-model` pass that validates the DRAM
-//! timing presets and the virtual address-space layout against their
-//! inter-parameter constraints.
+//! and lifetimes handled exactly) and a per-crate **call graph**
+//! ([`functions`]: function spans, call sites, hot-root reachability),
+//! plus a `check-model` pass that validates the DRAM timing presets and
+//! the virtual address-space layout against their inter-parameter
+//! constraints.
 //!
 //! ## Rules
 //!
@@ -25,25 +24,19 @@
 //! | `narrowing-cast` | simulated-path crates          | bare `as u32`/`as usize`/… on cycle/address-flavored expressions (use [`moca_common::units::narrow_u32`]) |
 //! | `hot-alloc`      | simulated-path crates          | heap allocation (`Vec::new()`, `vec![…]`, `format!`, `.to_string()`, `.to_vec()`, `Box::new()`, `.collect::<Vec<…>>`) in hot functions **and every function reachable from a cycle root** through the per-crate call graph |
 //! | `panic-in-hot`   | simulated-path crates          | `panic!`/`todo!`/`unimplemented!`/`.unwrap()`/`.expect(…)` in hot functions and their transitive callees — a data-dependent abort on the per-cycle path |
-//! | `det-taint`      | simulated-path crates          | a nondeterministic value (hash-ordered iteration, wall-clock read, ambient randomness, pointer-derived address) flowing — through returns and call arguments within a crate — into a digest/telemetry/ledger sink |
 //!
 //! Hot roots come in two tiers: **cycle roots** (`tick*`, `step`,
-//! `on_completion*`, `Channel::issue`) propagate hotness to every
-//! crate-local function they transitively call; **driver roots**
-//! (`Pipeline::evaluate*`) are hot in their own body only — they contain
-//! the measured region, but what they call directly is setup-rate.
+//! `on_completion*`, `issue`, and the `EventWheel` entry points) propagate
+//! hotness to every crate-local function they transitively call; **driver
+//! roots** (`Pipeline::evaluate*`) are hot in their own body only — they
+//! contain the measured region, but what they call directly is setup-rate.
 //!
-//! A finding is suppressed by an inline pragma on the same line or the line
-//! above — `// moca-lint: allow(<rule>): <justification>` (the justification
-//! is mandatory) — or by an entry in the committed baseline file
-//! (`lint-baseline.txt`), which exists for incremental burn-down and is
-//! empty in a healthy tree. A baseline entry matching no current finding is
-//! *stale* and fails the lint (prune with `--prune-baseline`).
+//! A finding is suppressed only by an inline pragma on the same line or
+//! the line above — `// moca-lint: allow(<rule>): <justification>` (the
+//! justification is mandatory).
 
 pub mod functions;
 pub mod lexer;
-pub mod sarif;
-pub mod taint;
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -53,7 +46,6 @@ use functions::{FnTable, HotReason};
 use lexer::{Token, TokenKind};
 
 pub use lexer::strip_code;
-pub use sarif::to_sarif;
 
 /// Crates whose source participates in simulated state: hash-ordered
 /// collections and silent narrowing are forbidden here.
@@ -63,42 +55,10 @@ pub const SIM_PATH_CRATES: &[&str] = &["sim", "dram", "vm", "core", "cpu", "cach
 /// and benchmarking are host-side by design).
 pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["telemetry", "bench"];
 
-/// The rule catalog: `(name, short description)`.
-pub const RULES: &[(&str, &str)] = &[
-    (
-        "det-map",
-        "std HashMap/HashSet forbidden in simulated-path crates; use moca_common::det",
-    ),
-    (
-        "wall-clock",
-        "std::time::Instant/SystemTime and thread spawning forbidden outside telemetry/bench",
-    ),
-    (
-        "unseeded-rng",
-        "randomness must flow through moca_common::rng (seeded, deterministic)",
-    ),
-    (
-        "narrowing-cast",
-        "bare `as` narrowing on cycle/address-typed expressions; use moca_common::units::narrow_*",
-    ),
-    (
-        "hot-alloc",
-        "heap allocation inside per-cycle hot functions or their transitive callees; hoist a reusable buffer",
-    ),
-    (
-        "panic-in-hot",
-        "panic!/unwrap/expect on the per-cycle hot path; handle the case or justify the invariant",
-    ),
-    (
-        "det-taint",
-        "nondeterministic value flows into a digest/telemetry sink; order or seed it first",
-    ),
-];
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (one of [`RULES`]).
+    /// Rule name, as in the module-level rule table (e.g. `det-map`).
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub path: PathBuf,
@@ -131,58 +91,6 @@ pub struct SourceFile {
     pub rel: PathBuf,
     /// Raw source text.
     pub raw: String,
-}
-
-/// Baseline key of a finding: `rule|path|trimmed-line`. Content-addressed
-/// (no line number) so unrelated edits above a baselined finding do not
-/// invalidate the entry.
-pub fn baseline_key(f: &Finding) -> String {
-    format!("{}|{}|{}", f.rule, f.path.display(), f.excerpt)
-}
-
-/// Parse a baseline file: one key per line, `#` comments and blank lines
-/// ignored. A missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> BTreeSet<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeSet::new();
-    };
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-/// Baseline entries that match no current finding. A stale entry means the
-/// offending line was fixed (or edited): the suppression must be removed —
-/// or rewritten by `--prune-baseline` — so the baseline only ever shrinks
-/// toward empty.
-pub fn stale_baseline_keys(findings: &[Finding], baseline: &BTreeSet<String>) -> Vec<String> {
-    let present: BTreeSet<String> = findings.iter().map(baseline_key).collect();
-    baseline
-        .iter()
-        .filter(|k| !present.contains(*k))
-        .cloned()
-        .collect()
-}
-
-/// Rewrite a baseline file in place, dropping the given stale keys while
-/// preserving comment and blank lines.
-pub fn prune_baseline_file(path: &Path, stale: &BTreeSet<String>) -> std::io::Result<usize> {
-    let text = std::fs::read_to_string(path)?;
-    let mut kept = String::new();
-    let mut dropped = 0usize;
-    for line in text.lines() {
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('#') && stale.contains(t) {
-            dropped += 1;
-            continue;
-        }
-        kept.push_str(line);
-        kept.push('\n');
-    }
-    std::fs::write(path, kept)?;
-    Ok(dropped)
 }
 
 /// True if `token` occurs in `line` delimited by non-identifier characters.
@@ -237,37 +145,6 @@ const NARROWING_MARKERS: &[&str] = &[
 
 /// Narrowing cast targets the rule watches for.
 const NARROWING_CASTS: &[&str] = &["as u32", "as u16", "as u8", "as usize"];
-
-/// If `line` declares a function the hot rules treat as hot — a per-cycle
-/// simulation entry point (`tick*`, `step`, `on_completion*`), the DRAM
-/// command scheduler (`issue`, i.e. `Channel::issue`), or the evaluation
-/// driver (`evaluate*`, i.e. `Pipeline::evaluate*`) — return its name.
-/// This line-based check is what makes direct hot *bodies* correct even
-/// without the call-graph pass.
-pub fn hot_fn_name(line: &str) -> Option<&str> {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut search = 0;
-    while let Some(pos) = line[search..].find("fn ") {
-        let at = search + pos;
-        search = at + 3;
-        if at > 0 && line[..at].chars().next_back().is_some_and(is_ident) {
-            continue; // e.g. `often `
-        }
-        let rest = &line[at + 3..];
-        let name_len = rest.chars().take_while(|&c| is_ident(c)).count();
-        let name = &rest[..name_len];
-        if name.starts_with("tick")
-            || name == "step"
-            || name.starts_with("on_completion")
-            || name == "issue"
-            || name == "evaluate"
-            || name.starts_with("evaluate_")
-        {
-            return Some(name);
-        }
-    }
-    None
-}
 
 /// Ambient-randomness identifiers (anything not flowing through
 /// `moca_common::rng::DetRng`).
@@ -419,9 +296,9 @@ impl FileCtx {
     }
 }
 
-/// Lint one crate: per-file rules plus the crate-wide flow passes
-/// (hot-path propagation, determinism taint). `crate_name` is the
-/// directory name under `crates/` (e.g. `sim`).
+/// Lint one crate: per-file rules plus hot-path propagation over the
+/// crate's call graph. `crate_name` is the directory name under `crates/`
+/// (e.g. `sim`).
 pub fn scan_crate(crate_name: &str, files: &[SourceFile]) -> Vec<Finding> {
     let sim_path = SIM_PATH_CRATES.contains(&crate_name);
     let clock_checked = !WALL_CLOCK_EXEMPT_CRATES.contains(&crate_name);
@@ -437,7 +314,6 @@ pub fn scan_crate(crate_name: &str, files: &[SourceFile]) -> Vec<Finding> {
         let streams: Vec<Vec<Token>> = ctxs.iter().map(|c| c.toks.clone()).collect();
         let table = FnTable::build(&streams);
         hot_pass(&table, &ctxs, &mut findings);
-        taint_pass(&table, &ctxs, &mut findings);
     }
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -650,84 +526,6 @@ fn hot_pass(table: &FnTable, ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule whose allow-pragma, placed at a taint *source*, declares the value
-/// host-only and stops it from seeding taint (a clock read justified as
-/// "never read by the simulation" must not poison every caller). A
-/// `det-taint` pragma at the source works for every kind.
-fn taint_source_rule(kind: &str) -> &'static str {
-    match kind {
-        "wall-clock read" => "wall-clock",
-        "ambient randomness" => "unseeded-rng",
-        "hash-ordered iteration" => "det-map",
-        _ => "det-taint",
-    }
-}
-
-/// Apply `det-taint`: for every tainted function, flag each sink call site
-/// with the source and the call chain the taint arrived through.
-fn taint_pass(table: &FnTable, ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
-    let source_justified = |ctx: &FileCtx, s: &taint::TaintSource| {
-        let ln = s.line - 1;
-        [taint_source_rule(s.kind), "det-taint"].iter().any(|rule| {
-            ctx.raw_lines
-                .get(ln)
-                .is_some_and(|l| has_allow_pragma(l, rule))
-                || (ln > 0
-                    && ctx
-                        .raw_lines
-                        .get(ln - 1)
-                        .is_some_and(|l| has_allow_pragma(l, rule)))
-        })
-    };
-    let sources: Vec<Vec<taint::TaintSource>> = table
-        .fns
-        .iter()
-        .map(|f| match f.body {
-            Some((a, b)) => {
-                let ctx = &ctxs[f.file];
-                taint::body_sources(&ctx.toks, a, b)
-                    .into_iter()
-                    .filter(|s| !source_justified(ctx, s))
-                    .collect()
-            }
-            None => Vec::new(),
-        })
-        .collect();
-    let taints = taint::propagate(table, &sources);
-    let mut flagged: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (i, t) in taints.iter().enumerate() {
-        let Some(t) = t else { continue };
-        let f = &table.fns[i];
-        let ctx = &ctxs[f.file];
-        for call in &f.calls {
-            if !taint::is_sink_name(&call.name) {
-                continue;
-            }
-            let ln = call.line - 1;
-            if !flagged.insert((f.file, ln)) {
-                continue;
-            }
-            let via = if t.via.is_empty() {
-                format!("in `{}` itself", f.qual)
-            } else {
-                format!("via `{}`", t.via.join(" → "))
-            };
-            ctx.push(
-                findings,
-                "det-taint",
-                ln,
-                format!(
-                    "sink `{}` is called in `{}`, which carries a {} \
-                     originating in `{}` (line {}, {}); a nondeterministic \
-                     value must not reach digests/telemetry — order or seed \
-                     it before folding it into sim-visible state",
-                    call.name, f.qual, t.source.kind, t.origin, t.source.line, via
-                ),
-            );
-        }
-    }
-}
-
 /// Lint one file. `crate_name` is the directory name under `crates/`
 /// (e.g. `sim`); `rel` is the path to report in findings. `raw` is the
 /// original source. Equivalent to a single-file [`scan_crate`].
@@ -762,9 +560,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Scan every crate's `src/` under `<root>/crates/`, plus the shared
 /// integration tests in `<root>/tests/`. Each crate is scanned as a unit
-/// so the call-graph and taint passes see cross-file flows. The `analysis`
-/// crate itself is excluded: its rule tables and fixtures necessarily
-/// spell the forbidden tokens.
+/// so the call-graph pass sees cross-file calls. The `analysis` crate
+/// itself is excluded: its rule tables and fixtures necessarily spell the
+/// forbidden tokens.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let crates_dir = root.join("crates");
@@ -814,16 +612,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(scan_crate("tests", &files));
     }
     Ok(findings)
-}
-
-/// Split findings into (unsuppressed, baselined) under `baseline`.
-pub fn apply_baseline(
-    findings: Vec<Finding>,
-    baseline: &BTreeSet<String>,
-) -> (Vec<Finding>, Vec<Finding>) {
-    findings
-        .into_iter()
-        .partition(|f| !baseline.contains(&baseline_key(f)))
 }
 
 /// One named model-validation check.

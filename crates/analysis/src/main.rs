@@ -1,24 +1,19 @@
 //! `moca-lint` CLI.
 //!
 //! ```text
-//! moca-lint [--deny] [--root PATH] [--baseline PATH]
-//!           [--format text|sarif] [--prune-baseline]    lint the workspace
-//! moca-lint check-model                                 validate timing presets & layout
+//! moca-lint [--deny] [--root PATH]    lint the workspace
+//! moca-lint check-model               validate timing presets & layout
 //! ```
 //!
 //! Exit status: 0 when clean (or findings exist but `--deny` was not
-//! passed), 1 when `--deny` saw unsuppressed findings, the baseline had
-//! stale entries (without `--prune-baseline`), or a model check failed,
-//! 2 on usage/IO errors.
+//! passed), 1 when `--deny` saw findings or a model check failed, 2 on
+//! usage/IO errors.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: moca-lint [--deny] [--root PATH] [--baseline PATH] [--format text|sarif] [--prune-baseline]\n       moca-lint check-model"
-    );
+    eprintln!("usage: moca-lint [--deny] [--root PATH]\n       moca-lint check-model");
     ExitCode::from(2)
 }
 
@@ -64,33 +59,18 @@ fn main() -> ExitCode {
     }
 
     let mut deny = false;
-    let mut sarif = false;
-    let mut prune = false;
     let mut root = default_root();
-    let mut baseline_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deny" => deny = true,
-            "--prune-baseline" => prune = true,
             "--root" => match it.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => sarif = false,
-                Some("sarif") => sarif = true,
-                _ => return usage(),
-            },
             _ => return usage(),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    let baseline = moca_lint::load_baseline(&baseline_path);
 
     let findings = match moca_lint::scan_workspace(&root) {
         Ok(f) => f,
@@ -99,53 +79,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Stale baseline entries (suppressions whose finding no longer exists)
-    // are an error: the baseline must only shrink. `--prune-baseline`
-    // rewrites the file instead of failing.
-    let stale: BTreeSet<String> = moca_lint::stale_baseline_keys(&findings, &baseline)
-        .into_iter()
-        .collect();
-    let mut stale_failed = false;
-    if !stale.is_empty() {
-        if prune {
-            match moca_lint::prune_baseline_file(&baseline_path, &stale) {
-                Ok(n) => eprintln!(
-                    "moca-lint: pruned {n} stale entr{} from {}",
-                    if n == 1 { "y" } else { "ies" },
-                    baseline_path.display()
-                ),
-                Err(e) => {
-                    eprintln!("moca-lint: cannot rewrite {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            for k in &stale {
-                eprintln!("moca-lint: stale baseline entry (finding fixed — remove it): {k}");
-            }
-            stale_failed = true;
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    let (active, baselined) = moca_lint::apply_baseline(findings, &baseline);
-
-    if sarif {
-        print!(
-            "{}",
-            moca_lint::to_sarif(&active, env!("CARGO_PKG_VERSION"))
-        );
-    } else {
-        for f in &active {
-            println!("{f}");
-        }
-        println!(
-            "moca-lint: {} finding(s), {} baselined",
-            active.len(),
-            baselined.len()
-        );
-    }
-    if stale_failed || (deny && !active.is_empty()) {
+    println!("moca-lint: {} finding(s)", findings.len());
+    if deny && !findings.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -1,11 +1,11 @@
 //! Engine tests for `moca-lint`: each rule against a text fixture, pragma
-//! and baseline suppression, the comment/string stripper, and — the one
-//! that matters operationally — the live workspace being clean under
-//! `--deny` semantics.
+//! suppression, the comment/string stripper, and — the one that matters
+//! operationally — the live workspace being clean under `--deny`
+//! semantics.
 
+use moca_lint::functions::{is_cycle_root, is_driver_root};
 use moca_lint::{
-    apply_baseline, baseline_key, check_model, has_allow_pragma, has_token, load_baseline,
-    scan_file, scan_workspace, strip_code, Finding,
+    check_model, has_allow_pragma, has_token, scan_file, scan_workspace, strip_code, Finding,
 };
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -107,17 +107,13 @@ fn hot_alloc_rule_is_scoped_to_sim_path_crates() {
 
 #[test]
 fn hot_fn_detection_respects_identifier_boundaries() {
-    use moca_lint::hot_fn_name;
-    assert_eq!(hot_fn_name("pub fn tick(&mut self) {"), Some("tick"));
-    assert_eq!(hot_fn_name("fn tick_impl(&mut self,"), Some("tick_impl"));
-    assert_eq!(hot_fn_name("pub(crate) fn step(&mut self)"), Some("step"));
-    assert_eq!(
-        hot_fn_name("fn on_completion_into("),
-        Some("on_completion_into")
-    );
-    assert_eq!(hot_fn_name("fn step_count(&self)"), None);
-    assert_eq!(hot_fn_name("fn sticker()"), None);
-    assert_eq!(hot_fn_name("let often = 3;"), None);
+    for name in ["tick", "tick_impl", "step", "on_completion_into"] {
+        assert!(is_cycle_root(name, name), "{name} is a cycle root");
+    }
+    for name in ["step_count", "sticker", "often"] {
+        assert!(!is_cycle_root(name, name), "{name} is not a cycle root");
+        assert!(!is_driver_root(name), "{name} is not a driver root");
+    }
 }
 
 #[test]
@@ -154,29 +150,6 @@ fn clean_fixture_has_no_findings() {
 }
 
 #[test]
-fn baseline_suppresses_exact_findings_only() {
-    let f = scan_fixture("sim", "det_map.rs");
-    assert_eq!(f.len(), 4);
-    let baseline: BTreeSet<String> = f[..2].iter().map(baseline_key).collect();
-    let (active, baselined) = apply_baseline(f, &baseline);
-    assert_eq!(active.len(), 2);
-    assert_eq!(baselined.len(), 2);
-    assert_eq!(lines_of(&active, "det-map"), vec![7, 8]);
-}
-
-#[test]
-fn baseline_file_ignores_comments_and_blanks() {
-    let dir = std::env::temp_dir().join(format!("moca-lint-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join("baseline.txt");
-    std::fs::write(&p, "# comment\n\nrule|path.rs|let x = 1;\n").unwrap();
-    let b = load_baseline(&p);
-    assert_eq!(b.len(), 1);
-    assert!(b.contains("rule|path.rs|let x = 1;"));
-    assert!(load_baseline(&dir.join("missing.txt")).is_empty());
-}
-
-#[test]
 fn stripper_handles_comments_strings_and_lifetimes() {
     let stripped = strip_code(
         "let a = 1; // HashMap in comment\n\
@@ -210,19 +183,16 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
-/// The operational guarantee: the committed tree is clean under `--deny`
-/// with the committed baseline. A regression anywhere in the workspace
-/// fails this test even before CI runs the binary.
+/// The operational guarantee: the committed tree is clean under `--deny`.
+/// A regression anywhere in the workspace fails this test even before CI
+/// runs the binary.
 #[test]
 fn live_workspace_is_clean_under_deny() {
-    let root = workspace_root();
-    let findings = scan_workspace(&root).expect("scan workspace");
-    let baseline = load_baseline(&root.join("lint-baseline.txt"));
-    let (active, _) = apply_baseline(findings, &baseline);
+    let findings = scan_workspace(&workspace_root()).expect("scan workspace");
     assert!(
-        active.is_empty(),
+        findings.is_empty(),
         "unsuppressed lint findings in the workspace:\n{}",
-        active
+        findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()

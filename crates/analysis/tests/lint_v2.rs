@@ -1,16 +1,11 @@
-//! Engine tests for the v2 analyzer: call-graph hot-path propagation,
-//! determinism taint tracking, the token-stream lexer's edge cases, the
-//! stale-baseline machinery, and SARIF emission. The two headline fixtures
-//! (`hot_call_graph.rs`, the multi-line collect in `lexer_edges.rs`) are
-//! sites the v1 line scanner provably missed.
+//! Engine tests for the v2 analyzer: call-graph hot-path propagation, the
+//! hot-root matchers, and the token-stream lexer's edge cases. The two
+//! headline fixtures (`hot_call_graph.rs`, the multi-line collect in
+//! `lexer_edges.rs`) are sites the v1 line scanner provably missed.
 
-use moca_lint::functions::FnTable;
+use moca_lint::functions::{is_cycle_root, is_driver_root, FnTable};
 use moca_lint::lexer::lex;
-use moca_lint::{
-    baseline_key, hot_fn_name, load_baseline, prune_baseline_file, scan_crate, scan_file,
-    stale_baseline_keys, to_sarif, Finding, SourceFile,
-};
-use std::collections::BTreeSet;
+use moca_lint::{scan_crate, scan_file, Finding, SourceFile};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -104,35 +99,6 @@ fn fn_table_qualifies_impl_methods() {
     assert!(hot[1].is_none() && hot[2].is_none());
 }
 
-// ---- determinism taint tracking ----
-
-#[test]
-fn det_taint_flags_hash_ordered_value_reaching_digest_sink() {
-    let f = scan_fixture("sim", "det_taint.rs");
-    // The HashMap mentions themselves are det-map findings; the taint
-    // finding sits at the sink call in `publish`, which receives the
-    // hash-ordered sum through `sum_unordered`'s return value.
-    assert_eq!(lines_of(&f, "det-map"), vec![2, 5, 11]);
-    assert_eq!(lines_of(&f, "det-taint"), vec![21]);
-    let taint = f.iter().find(|x| x.rule == "det-taint").unwrap();
-    assert!(
-        taint.message.contains("hash-ordered iteration")
-            && taint.message.contains("Ledger::sum_unordered"),
-        "taint message must name source and origin: {}",
-        taint.message
-    );
-    // profile_span's clock read carries a wall-clock pragma declaring it
-    // host-only, so it seeds no taint and its sink call stays clean — and
-    // the pragma also suppresses the wall-clock finding itself.
-    assert_eq!(f.len(), 4, "unexpected findings: {f:#?}");
-}
-
-#[test]
-fn det_taint_does_not_apply_outside_sim_path_crates() {
-    let f = scan_fixture("workloads", "det_taint.rs");
-    assert!(lines_of(&f, "det-taint").is_empty());
-}
-
 // ---- lexer edge cases ----
 
 #[test]
@@ -149,100 +115,20 @@ fn lexer_handles_raw_strings_nested_comments_and_char_braces() {
     assert_eq!(f.len(), 2, "unexpected findings: {f:#?}");
 }
 
-// ---- hot_fn_name satellite ----
+// ---- hot-root matchers ----
 
 #[test]
 fn hot_fn_name_covers_issue_and_evaluate_entry_points() {
-    assert_eq!(
-        hot_fn_name("    fn issue(&mut self, now: Cycle) -> bool {"),
-        Some("issue")
-    );
-    assert_eq!(
-        hot_fn_name("    pub fn evaluate_attributed(&mut self, apps: &[&str]) {"),
-        Some("evaluate_attributed")
-    );
-    assert_eq!(
-        hot_fn_name("pub fn evaluate(&mut self) {"),
-        Some("evaluate")
-    );
-    assert_eq!(
-        hot_fn_name("fn evaluate_custom(&mut self) {"),
-        Some("evaluate_custom")
-    );
-    // Prefixes must not over-match.
-    assert_eq!(hot_fn_name("fn issue_width(&self) -> usize {"), None);
-    assert_eq!(hot_fn_name("fn evaluated(&self) -> bool {"), None);
-    assert_eq!(hot_fn_name("fn reissue(&mut self) {"), None);
-}
-
-// ---- stale-baseline machinery ----
-
-#[test]
-fn stale_baseline_entries_are_detected_and_pruned() {
-    let findings = scan_fixture("sim", "panic_hot.rs");
-    let live_key = baseline_key(&findings[0]);
-    let stale_key = "hot-alloc|gone.rs|let v = Vec::new();";
-
-    let mut baseline = BTreeSet::new();
-    baseline.insert(live_key.clone());
-    baseline.insert(stale_key.to_string());
-    let stale = stale_baseline_keys(&findings, &baseline);
-    assert_eq!(stale, vec![stale_key.to_string()]);
-
-    // Prune rewrites the file dropping only the stale entry, keeping
-    // comments, blank lines, and the still-live key.
-    let dir = std::env::temp_dir().join(format!("moca-lint-prune-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("baseline.txt");
-    std::fs::write(
-        &path,
-        format!("# header comment\n\n{live_key}\n{stale_key}\n"),
-    )
-    .unwrap();
-    let dropped = prune_baseline_file(&path, &stale.into_iter().collect()).unwrap();
-    assert_eq!(dropped, 1);
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("# header comment"));
-    assert!(text.contains(&live_key));
-    assert!(!text.contains(stale_key));
-    assert_eq!(load_baseline(&path).len(), 1);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-// ---- SARIF emission ----
-
-#[test]
-fn sarif_output_carries_rules_and_locations() {
-    let findings = scan_fixture("sim", "panic_hot.rs");
-    let s = to_sarif(&findings, "0.1.0-test");
-    assert!(s.contains("\"version\": \"2.1.0\""));
-    assert!(s.contains("\"name\": \"moca-lint\""));
-    // Every catalog rule is declared; every finding becomes a result.
-    for (rule, _) in moca_lint::RULES {
-        assert!(
-            s.contains(&format!("\"id\": \"{rule}\"")),
-            "missing rule {rule}"
-        );
+    // `issue` is a cycle root by name alone, qualified or not.
+    assert!(is_cycle_root("issue", "Channel::issue"));
+    assert!(is_cycle_root("issue", "issue"));
+    for name in ["evaluate_attributed", "evaluate", "evaluate_custom"] {
+        assert!(is_driver_root(name), "{name} is a driver root");
+        assert!(!is_cycle_root(name, name), "{name} must not propagate");
     }
-    assert!(s.contains("\"ruleId\": \"panic-in-hot\""));
-    assert!(s.contains("\"uri\": \"panic_hot.rs\""));
-    assert!(s.contains("\"startLine\": 8") && s.contains("\"startLine\": 14"));
-    // Structurally balanced (cheap well-formedness check without a JSON
-    // parser in the dependency-free test).
-    assert_eq!(s.matches('{').count(), s.matches('}').count());
-    assert_eq!(s.matches('[').count(), s.matches(']').count());
-}
-
-#[test]
-fn sarif_escapes_quotes_and_backslashes_in_excerpts() {
-    let findings = vec![Finding {
-        rule: "det-map",
-        path: PathBuf::from("x.rs"),
-        line: 1,
-        excerpt: "let s = \"a\\\"b\";".to_string(),
-        message: "quote \" and backslash \\ in message".to_string(),
-    }];
-    let s = to_sarif(&findings, "0");
-    assert!(s.contains("quote \\\" and backslash \\\\ in message"));
-    assert_eq!(s.matches('{').count(), s.matches('}').count());
+    // Prefixes must not over-match.
+    for name in ["issue_width", "evaluated", "reissue"] {
+        assert!(!is_cycle_root(name, name), "{name} is not a cycle root");
+        assert!(!is_driver_root(name), "{name} is not a driver root");
+    }
 }

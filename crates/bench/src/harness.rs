@@ -8,7 +8,7 @@ use moca_common::ModuleKind;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_sim::metrics::RunResult;
 use moca_telemetry::Telemetry;
-use moca_workloads::{app_by_name, suite};
+use moca_workloads::suite;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -136,14 +136,10 @@ pub fn suite_names() -> Vec<&'static str> {
     suite().iter().map(|a| a.name).collect()
 }
 
-/// Sanity helper used by experiments: the app's expected class letter.
-pub fn expected_letter(app: &str) -> char {
-    app_by_name(app).expected_class.letter()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moca_workloads::app_by_name;
 
     #[test]
     fn six_systems_in_legend_order() {
@@ -157,8 +153,8 @@ mod tests {
     #[test]
     fn suite_names_count() {
         assert_eq!(suite_names().len(), 10);
-        assert_eq!(expected_letter("mcf"), 'L');
-        assert_eq!(expected_letter("lbm"), 'B');
-        assert_eq!(expected_letter("gcc"), 'N');
+        for (app, letter) in [("mcf", 'L'), ("lbm", 'B'), ("gcc", 'N')] {
+            assert_eq!(app_by_name(app).expected_class.letter(), letter);
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! the absolute stall scale down relative to gem5's.
 
 use crate::profile::ProfileLut;
-use moca_common::{ObjectClass, ObjectId};
+use moca_common::ObjectClass;
 use serde::{Deserialize, Serialize};
 
 /// Object-level classification thresholds.
@@ -110,13 +110,9 @@ pub struct ClassifiedApp {
 }
 
 impl ClassifiedApp {
-    /// Class of one object.
-    pub fn class_of(&self, id: ObjectId) -> ObjectClass {
-        self.object_classes[id.0 as usize]
-    }
-
     /// Count of objects in each class `(L, B, N)`.
-    pub fn class_counts(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn class_counts(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);
         for k in &self.object_classes {
             match k {
@@ -261,6 +257,6 @@ mod tests {
             thresholds: Thresholds::default(),
         };
         assert_eq!(c.class_counts(), (1, 1, 2));
-        assert_eq!(c.class_of(ObjectId(2)), ObjectClass::NonIntensive);
+        assert_eq!(c.object_classes[2], ObjectClass::NonIntensive);
     }
 }

@@ -39,14 +39,12 @@
 
 pub mod classify;
 pub mod naming;
-pub mod persist;
 pub mod pipeline;
 pub mod policy;
 pub mod profile;
 
 pub use classify::{AppThresholds, ClassifiedApp, Thresholds};
 pub use naming::{NameRegistry, ObjectName};
-pub use persist::PersistError;
 pub use pipeline::{Pipeline, Placement, PolicyKind, RunSpec};
 pub use policy::{
     ConfigurableMocaPolicy, HeterAppPolicy, HomogeneousPolicy, LowPowerFirstPolicy, MocaPolicy,

@@ -180,11 +180,6 @@ impl PagePlacementPolicy for ConfigurableMocaPolicy {
     }
 }
 
-/// Convenience: the module kind a class lands on when nothing is full.
-pub fn preferred_kind(class: ObjectClass) -> ModuleKind {
-    preference_order(class)[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,16 +308,17 @@ mod tests {
 
     #[test]
     fn preferred_kinds_match_paper() {
+        // The module a class lands on when nothing is full.
         assert_eq!(
-            preferred_kind(ObjectClass::LatencySensitive),
+            preference_order(ObjectClass::LatencySensitive)[0],
             ModuleKind::Rldram3
         );
         assert_eq!(
-            preferred_kind(ObjectClass::BandwidthSensitive),
+            preference_order(ObjectClass::BandwidthSensitive)[0],
             ModuleKind::Hbm
         );
         assert_eq!(
-            preferred_kind(ObjectClass::NonIntensive),
+            preference_order(ObjectClass::NonIntensive)[0],
             ModuleKind::Lpddr2
         );
     }

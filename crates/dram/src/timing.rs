@@ -230,12 +230,6 @@ impl DeviceTiming {
         self.row_buffer_bytes >= moca_common::addr::CACHE_LINE_SIZE
     }
 
-    /// Closed-row read latency (ACT + CAS) in cycles, excluding queueing and
-    /// data transfer — a rough "device latency" figure.
-    pub fn closed_row_latency(&self) -> Cycle {
-        self.t_rcd + self.t_cl
-    }
-
     /// Check the inter-parameter constraints every DRAM device must satisfy.
     /// Errors name the violated constraint so a misconfigured preset is
     /// rejected with an actionable message. Also run offline by
@@ -322,9 +316,13 @@ mod tests {
 
     #[test]
     fn rldram_is_fastest_closed_row() {
+        // Closed-row read latency: ACT + CAS, excluding queueing and transfer.
         let lat: Vec<_> = ModuleKind::ALL
             .iter()
-            .map(|&k| (k, DeviceTiming::for_kind(k).closed_row_latency()))
+            .map(|&k| {
+                let t = DeviceTiming::for_kind(k);
+                (k, t.t_rcd + t.t_cl)
+            })
             .collect();
         let rl = lat
             .iter()

@@ -233,7 +233,8 @@ impl TagAttr {
     }
 
     /// Stall cycles per mechanism (summed over tiers).
-    pub fn per_mechanism(&self) -> [u64; MECH_COUNT] {
+    #[cfg(test)]
+    fn per_mechanism(&self) -> [u64; MECH_COUNT] {
         let mut out = [0u64; MECH_COUNT];
         for (i, v) in self.stall.iter().enumerate() {
             out[i % MECH_COUNT] += v;
@@ -342,7 +343,8 @@ impl CoreAttr {
     }
 
     /// Load-miss cycles accrued but not yet resolved to a tier.
-    pub fn pending_cycles(&self) -> u64 {
+    #[cfg(test)]
+    fn pending_cycles(&self) -> u64 {
         self.pending.iter().map(|p| p.cycles).sum()
     }
 

@@ -108,7 +108,8 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(range_lo, range_hi, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    #[cfg(test)]
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -230,11 +231,6 @@ impl Registry {
             .map(|(_, v)| *v)
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
     /// Histogram looked up by name.
     pub fn histogram_by_name(&self, name: &str) -> Option<&Histogram> {
         self.histograms
@@ -349,7 +345,7 @@ mod tests {
 
         let g = r.gauge("frame_pool.headroom");
         r.set(g, 0.75);
-        assert!((r.gauge_value(g) - 0.75).abs() < 1e-12);
+        assert!((r.gauges[g.0].1 - 0.75).abs() < 1e-12);
 
         let h = r.histogram("dram.read_latency");
         r.observe(h, 42);

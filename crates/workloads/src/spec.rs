@@ -56,11 +56,6 @@ impl Pattern {
         Pattern::Stream { stride: 1 }
     }
 
-    /// A dense (stride-1) dependent streaming pattern.
-    pub fn stream_dep() -> Pattern {
-        Pattern::StreamDep { stride: 1 }
-    }
-
     /// A pure hot-set pattern with no cold tail.
     pub fn hot(working_set: u64) -> Pattern {
         Pattern::Hot {
@@ -160,7 +155,8 @@ pub struct AppSpec {
 
 impl AppSpec {
     /// Total nominal heap footprint in bytes.
-    pub fn nominal_footprint(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn nominal_footprint(&self) -> u64 {
         self.objects.iter().map(|o| o.nominal_bytes).sum()
     }
 
@@ -270,7 +266,7 @@ mod tests {
     #[test]
     fn pattern_dependence_flags() {
         assert!(Pattern::Chase.dependent());
-        assert!(Pattern::stream_dep().dependent());
+        assert!(Pattern::StreamDep { stride: 1 }.dependent());
         assert!(!Pattern::stream().dependent());
         assert!(!Pattern::Random.dependent());
         assert!(!Pattern::hot(1024).dependent());
