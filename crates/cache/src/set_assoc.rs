@@ -58,6 +58,12 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         self.size_bytes / (CACHE_LINE_SIZE * self.ways as u64)
     }
+
+    /// Bytes of physical space the cache's 16-bit tags address: one line
+    /// per tag value in every set (2 GiB for Table I's 512 sets).
+    pub fn addressable_bytes(&self) -> u64 {
+        (self.sets() << u16::BITS) * CACHE_LINE_SIZE
+    }
 }
 
 /// An evicted line that must be written back (it was dirty).
@@ -94,21 +100,34 @@ impl CacheStats {
 /// The cache proper.
 ///
 /// Way state is stored struct-of-arrays, way `w` of set `s` at slot
-/// `s * ways + w`, 5 bytes and a bit a way, so a probe compares one
-/// contiguous run of `u32` keys. A key is `tag + 1`, and 0 marks an
-/// invalid way. A tag that does not fit panics with its value rather than
-/// aliasing another line; none occurs in simulation, where a machine has
-/// at most 2 GiB (2^25 lines).
+/// `s * ways + w`, 3 bytes and two bits a way, so a probe compares one
+/// contiguous run of `u16` keys. A key is the low 16 bits of the line's
+/// tag; whether the way holds a line is its `valid` bit, so an invalidated
+/// way keeps its stale key and a probe must check the bit of the way it
+/// matched.
+///
+/// Tags of up to 16 bits are every tag in simulation:
+/// [`crate::CacheConfig::addressable_bytes`] covers the physical space
+/// (2 GiB, 2^25 lines, over Table I's 512 sets). A wider tag, such as the
+/// virtual line addresses the benchmark's layer replay feeds the Table I
+/// caches, moves the cache onto `high`, each way's upper 16 tag bits,
+/// allocated by the first fill that needs it. A tag past 32 bits panics
+/// with its value rather than aliasing another line.
 ///
 /// `rank` is each way's place in its set's recency order, 0 = most recent;
 /// a set's ranks are always a permutation of `0..ways`. The LRU victim is
-/// the way ranked `ways - 1`. `dirty` packs one bit per slot, slot `i` at
-/// bit `i % 64` of word `i / 64`.
+/// the way ranked `ways - 1`. `valid` and `dirty` pack one bit per slot,
+/// slot `i` at bit `i % 64` of word `i / 64`; with a power-of-two
+/// associativity of at most 64, a set's bits are one aligned field of one
+/// word.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    keys: Vec<u32>,
+    keys: Vec<u16>,
+    /// Upper tag halves per slot; empty while every tag has fit in `keys`.
+    high: Vec<u16>,
     rank: Vec<u8>,
+    valid: Vec<u64>,
     dirty: Vec<u64>,
     set_count: u64,
     /// `set_count - 1`; the set count is asserted to be a power of two, so
@@ -122,8 +141,9 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Build an empty cache. Panics if the geometry is degenerate or has
-    /// more ways than a byte-wide recency rank can order.
+    /// Build an empty cache. Panics if the set count is not a power of two
+    /// or the associativity is not a power of two of at most 64, the most
+    /// one word of validity bits holds.
     pub fn new(cfg: CacheConfig) -> SetAssocCache {
         let set_count = cfg.sets();
         assert!(
@@ -131,11 +151,16 @@ impl SetAssocCache {
             "bad set count"
         );
         let ways = cfg.ways as usize;
-        assert!(ways > 0 && ways <= 256, "bad associativity {ways}");
+        assert!(
+            ways.is_power_of_two() && ways <= 64,
+            "bad associativity {ways}"
+        );
         let slots = (set_count as usize) * ways;
         SetAssocCache {
             keys: vec![0; slots],
+            high: Vec::new(),
             rank: (0..slots).map(|slot| (slot % ways) as u8).collect(),
+            valid: vec![0; slots.div_ceil(64)],
             dirty: vec![0; slots.div_ceil(64)],
             set_count,
             set_mask: set_count - 1,
@@ -156,28 +181,100 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// First way of `line`'s set and the key `line` is stored under.
+    /// First way of `line`'s set and `line`'s tag.
     #[inline]
     fn index(&self, line: LineAddr) -> (usize, u32) {
         let set = narrow_usize(line.0 & self.set_mask);
-        let key = narrow_u32((line.0 >> self.set_shift) + 1);
-        (set * self.ways, key)
+        let tag = narrow_u32(line.0 >> self.set_shift);
+        (set * self.ways, tag)
     }
 
-    /// Slot holding `key` in the set starting at `base`, if resident.
+    /// Slot holding `tag` in the set starting at `base`, if resident.
+    ///
+    /// Only the first way holding `tag` can be its line: `fill` takes the
+    /// first invalid way and never installs a resident tag twice, so every
+    /// way ahead of a resident line is valid with another tag. A first
+    /// match on an invalid way is a stale tag, and a miss.
     #[inline]
-    fn probe(&self, base: usize, key: u32) -> Option<usize> {
-        self.keys[base..base + self.ways]
+    fn probe(&self, base: usize, tag: u32) -> Option<usize> {
+        if !self.high.is_empty() {
+            return self.probe_wide(base, tag);
+        }
+        // No wide tag was ever filled, so none is resident.
+        let key = u16::try_from(tag).ok()?;
+        let w = self.keys[base..base + self.ways]
             .iter()
-            .position(|&k| k == key)
-            .map(|w| base + w)
+            .position(|&k| k == key)?;
+        self.resident_at(base, w, tag)
     }
 
-    /// Address of the line resident in `slot` (valid key required).
+    /// [`SetAssocCache::probe`] once tags have upper halves.
+    #[cold]
+    #[inline(never)]
+    fn probe_wide(&self, base: usize, tag: u32) -> Option<usize> {
+        let w = (0..self.ways).find(|&w| self.tag_at(base + w) == tag)?;
+        self.resident_at(base, w, tag)
+    }
+
+    /// `base + w` if way `w`, the first to hold `tag`, is valid.
+    #[inline]
+    fn resident_at(&self, base: usize, w: usize, tag: u32) -> Option<usize> {
+        debug_assert!(
+            self.is_valid(base + w)
+                || !(w + 1..self.ways)
+                    .any(|v| self.tag_at(base + v) == tag && self.is_valid(base + v)),
+            "{}: a stale tag shadows its resident line",
+            self.cfg.name
+        );
+        self.is_valid(base + w).then_some(base + w)
+    }
+
+    /// Tag stored in `slot`, resident or stale.
+    #[inline]
+    fn tag_at(&self, slot: usize) -> u32 {
+        let high = self.high.get(slot).copied().unwrap_or(0);
+        u32::from(high) << 16 | u32::from(self.keys[slot])
+    }
+
+    /// Store `tag` in `slot`.
+    #[inline]
+    fn set_tag(&mut self, slot: usize, tag: u32) {
+        match u16::try_from(tag) {
+            Ok(key) if self.high.is_empty() => self.keys[slot] = key,
+            _ => self.set_tag_wide(slot, tag),
+        }
+    }
+
+    /// [`SetAssocCache::set_tag`] for a tag wider than 16 bits or once
+    /// tags have upper halves; the first such tag allocates them.
+    #[cold]
+    #[inline(never)]
+    fn set_tag_wide(&mut self, slot: usize, tag: u32) {
+        if self.high.is_empty() {
+            self.high = vec![0; self.keys.len()];
+        }
+        let [b0, b1, b2, b3] = tag.to_le_bytes();
+        self.keys[slot] = u16::from_le_bytes([b0, b1]);
+        self.high[slot] = u16::from_le_bytes([b2, b3]);
+    }
+
+    /// Whether `slot` holds a line.
+    #[inline]
+    fn is_valid(&self, slot: usize) -> bool {
+        self.valid[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// Mark `slot` as holding no line; its key goes stale.
+    #[inline]
+    fn clear_valid(&mut self, slot: usize) {
+        self.valid[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Address of the line resident in `slot` (valid way required).
     #[inline]
     fn line_at(&self, slot: usize) -> LineAddr {
-        let set = (slot / self.ways) as u64;
-        LineAddr(u64::from(self.keys[slot] - 1) * self.set_count + set)
+        let set = (slot >> self.ways.trailing_zeros()) as u64;
+        LineAddr(u64::from(self.tag_at(slot)) * self.set_count + set)
     }
 
     /// Whether the line in `slot` is dirty.
@@ -221,7 +318,7 @@ impl SetAssocCache {
     /// Whether the set starting at `base` ranks its ways `0..ways`, each
     /// once (the invariant `touch` keeps).
     fn ranks_are_permutation(&self, base: usize) -> bool {
-        let mut seen = [false; 256];
+        let mut seen = [false; 64];
         self.rank[base..base + self.ways].iter().all(|&r| {
             let fresh = usize::from(r) < self.ways && !seen[usize::from(r)];
             seen[usize::from(r)] = true;
@@ -235,8 +332,8 @@ impl SetAssocCache {
     /// arrives (write-allocate).
     pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
         self.stats.accesses += 1;
-        let (base, key) = self.index(line);
-        if let Some(slot) = self.probe(base, key) {
+        let (base, tag) = self.index(line);
+        if let Some(slot) = self.probe(base, tag) {
             self.touch(base, slot);
             self.or_dirty(slot, write);
             self.stats.hits += 1;
@@ -248,8 +345,8 @@ impl SetAssocCache {
 
     /// Probe without updating LRU or statistics.
     pub fn contains(&self, line: LineAddr) -> bool {
-        let (base, key) = self.index(line);
-        self.probe(base, key).is_some()
+        let (base, tag) = self.index(line);
+        self.probe(base, tag).is_some()
     }
 
     /// Install `line` (after a miss). `dirty` marks a write-allocate fill.
@@ -258,25 +355,27 @@ impl SetAssocCache {
     /// Filling a line that is already present just refreshes its state (this
     /// happens when an MSHR merged multiple requests to the line).
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Victim> {
-        let (base, key) = self.index(line);
-        if let Some(slot) = self.probe(base, key) {
+        let (base, tag) = self.index(line);
+        if let Some(slot) = self.probe(base, tag) {
             self.touch(base, slot);
             self.or_dirty(slot, dirty);
             return None;
         }
-        // The first invalid way, else the least recently used one.
-        let slot = match self.probe(base, 0) {
-            Some(slot) => slot,
-            None => {
-                let last = (self.ways - 1) as u8;
-                let ranks = &self.rank[base..base + self.ways];
-                base + ranks
-                    .iter()
-                    .position(|&r| r == last)
-                    .expect("ranks are a permutation")
-            }
+        // The first invalid way, else the least recently used one. The
+        // set's validity bits are one field of one word, way `w` at bit `w`;
+        // `free` holds the set's invalid ways.
+        let free = !(self.valid[base / 64] >> (base % 64)) & (!0 >> (64 - self.ways));
+        let slot = if free != 0 {
+            base + free.trailing_zeros() as usize
+        } else {
+            let last = (self.ways - 1) as u8;
+            let ranks = &self.rank[base..base + self.ways];
+            base + ranks
+                .iter()
+                .position(|&r| r == last)
+                .expect("ranks are a permutation")
         };
-        let victim = if self.keys[slot] != 0 {
+        let victim = if free == 0 {
             let was_dirty = self.is_dirty(slot);
             self.stats.evictions += 1;
             self.stats.writebacks += u64::from(was_dirty);
@@ -287,7 +386,8 @@ impl SetAssocCache {
         } else {
             None
         };
-        self.keys[slot] = key;
+        self.set_tag(slot, tag);
+        self.valid[slot / 64] |= 1 << (slot % 64);
         self.touch(base, slot);
         self.set_dirty(slot, dirty);
         victim
@@ -298,8 +398,8 @@ impl SetAssocCache {
     /// not count as a demand access. Returns a victim if installing evicted
     /// a valid line.
     pub fn writeback(&mut self, line: LineAddr) -> Option<Victim> {
-        let (base, key) = self.index(line);
-        if let Some(slot) = self.probe(base, key) {
+        let (base, tag) = self.index(line);
+        if let Some(slot) = self.probe(base, tag) {
             self.or_dirty(slot, true);
             self.touch(base, slot);
             return None;
@@ -309,44 +409,50 @@ impl SetAssocCache {
 
     /// Remove `line` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let (base, key) = self.index(line);
-        let slot = self.probe(base, key)?;
-        self.keys[slot] = 0;
+        let (base, tag) = self.index(line);
+        let slot = self.probe(base, tag)?;
+        self.clear_valid(slot);
         Some(self.is_dirty(slot))
     }
 
     /// Number of valid lines currently resident (test/debug helper).
     pub fn resident_lines(&self) -> usize {
-        self.keys.iter().filter(|&&k| k != 0).count()
+        self.valid.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Addresses of all currently resident lines (test/inspection helper).
     pub fn resident_addrs(&self) -> Vec<LineAddr> {
         (0..self.keys.len())
-            .filter(|&slot| self.keys[slot] != 0)
+            .filter(|&slot| self.is_valid(slot))
             .map(|slot| self.line_at(slot))
             .collect()
     }
 
     /// Invalidate every line for which `pred` holds (e.g. all lines of a
-    /// migrated physical page), returning the dirty ones so the caller can
-    /// write their data back. Used by the OS page-migration path; a full
-    /// scan is fine at migration-epoch frequency.
-    pub fn invalidate_matching<F: Fn(LineAddr) -> bool>(&mut self, pred: F) -> Vec<Victim> {
-        let mut dirty = Vec::new();
-        for slot in 0..self.keys.len() {
-            if self.keys[slot] == 0 {
-                continue;
-            }
-            let line = self.line_at(slot);
-            if pred(line) {
-                self.keys[slot] = 0;
-                if self.is_dirty(slot) {
-                    dirty.push(Victim { line, dirty: true });
+    /// migrated physical page), handing each dirty one to `on_dirty`, in
+    /// slot order, so the caller can write its data back. Used by the OS
+    /// page-migration path; a full scan is fine at migration-epoch
+    /// frequency.
+    pub fn invalidate_matching(
+        &mut self,
+        pred: impl Fn(LineAddr) -> bool,
+        mut on_dirty: impl FnMut(Victim),
+    ) {
+        // Visit the valid slots only, a word of validity bits at a time.
+        for word in 0..self.valid.len() {
+            let mut valid = self.valid[word];
+            while valid != 0 {
+                let slot = word * 64 + valid.trailing_zeros() as usize;
+                valid &= valid - 1;
+                let line = self.line_at(slot);
+                if pred(line) {
+                    self.clear_valid(slot);
+                    if self.is_dirty(slot) {
+                        on_dirty(Victim { line, dirty: true });
+                    }
                 }
             }
         }
-        dirty
     }
 }
 
@@ -486,7 +592,8 @@ mod tests {
         c.fill(line(0, 1), true); // dirty
         c.fill(line(1, 1), false); // clean
         c.fill(line(2, 9), true); // dirty, different "page"
-        let dirty = c.invalidate_matching(|l| l == line(0, 1) || l == line(1, 1));
+        let mut dirty = Vec::new();
+        c.invalidate_matching(|l| l == line(0, 1) || l == line(1, 1), |v| dirty.push(v));
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].line, line(0, 1));
         assert!(!c.contains(line(0, 1)));
@@ -494,21 +601,77 @@ mod tests {
         assert!(c.contains(line(2, 9)), "unmatched line must survive");
     }
 
+    /// Fill `top` dirty, push it out of its two-way set with two low tags
+    /// and return the victim.
+    fn evict_after(c: &mut SetAssocCache, top: LineAddr) -> Victim {
+        let set = top.0 % 4;
+        assert_eq!(c.fill(top, true), None);
+        c.fill(line(set, 0), false);
+        c.fill(line(set, 1), false).expect("eviction")
+    }
+
+    #[test]
+    fn widest_16_bit_tag_round_trips_without_high_halves() {
+        let mut c = tiny();
+        let top = line(3, u64::from(u16::MAX));
+        let v = evict_after(&mut c, top);
+        assert_eq!(v.line, top, "the key must round-trip to the same line");
+        assert!(c.high.is_empty(), "a 16-bit tag must not allocate");
+    }
+
+    #[test]
+    fn tag_past_16_bits_moves_onto_high_halves() {
+        let mut c = tiny();
+        c.fill(line(2, 0), false);
+        // Truncated to 16 bits this tag would be 0, aliasing line(2, 0).
+        let wide = line(2, u64::from(u16::MAX) + 1);
+        assert!(!c.contains(wide));
+        assert!(!c.access(wide, true));
+        assert_eq!(c.fill(wide, true), None);
+        assert_eq!(c.high.len(), 8);
+        assert!(c.contains(wide) && c.contains(line(2, 0)));
+        assert_eq!(c.resident_addrs(), vec![line(2, 0), wide]);
+        assert_eq!(c.invalidate(wide), Some(true));
+        assert!(c.contains(line(2, 0)));
+        assert!(!c.contains(wide));
+    }
+
     #[test]
     fn widest_tag_gets_the_largest_key() {
         let mut c = tiny();
-        let top = line(3, u64::from(u32::MAX) - 1);
-        assert_eq!(c.fill(top, true), None);
-        c.fill(line(3, 0), false);
-        let v = c.fill(line(3, 1), false).expect("eviction");
+        let top = line(3, u64::from(u32::MAX));
+        let v = evict_after(&mut c, top);
         assert_eq!(v.line, top, "the key must round-trip to the same line");
     }
 
     #[test]
     #[should_panic(expected = "value 4294967296 does not fit in u32")]
     fn tag_beyond_key_width_panics_instead_of_aliasing() {
-        // Truncated to 32 bits this key would be 0, the invalid marker.
-        tiny().access(line(0, u64::from(u32::MAX)), false);
+        // Truncated to 32 bits this tag would be 0, aliasing line(0, 0).
+        tiny().access(line(0, u64::from(u32::MAX) + 1), false);
+    }
+
+    #[test]
+    fn invalidated_way_keeps_a_stale_key_that_never_hits() {
+        let mut c = tiny();
+        // Set 1 is slots 2 and 3.
+        c.fill(line(1, 5), false);
+        c.fill(line(1, 0), true);
+        assert_eq!(c.invalidate(line(1, 0)), Some(true));
+        // Way 1 still holds key 0, but its line is gone.
+        assert_eq!(c.keys[3], 0);
+        assert!(!c.contains(line(1, 0)));
+        assert!(!c.access(line(1, 0), false));
+        assert_eq!(c.invalidate(line(1, 0)), None);
+        // The invalid way is reused first and evicts nothing, though the
+        // valid line beside it is the least recently used.
+        assert_eq!(c.fill(line(1, 7), false), None);
+        assert_eq!(c.keys[3], 7);
+        assert_eq!(c.resident_addrs(), vec![line(1, 5), line(1, 7)]);
+        // Refilling tag 0 then evicts the true LRU line, cleanly.
+        let v = c.fill(line(1, 0), false).expect("eviction");
+        assert_eq!((v.line, v.dirty), (line(1, 5), false));
+        assert!(c.contains(line(1, 0)));
     }
 
     #[test]

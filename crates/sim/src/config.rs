@@ -1,5 +1,7 @@
 //! System configuration: memory-system layouts and machine parameters.
 
+use crate::CoreHierarchy;
+use moca_common::units::format_bytes;
 use moca_common::{Cycle, ModuleKind, GB, MB};
 use moca_cpu::{Core, CoreConfig};
 use moca_dram::AddressMapper;
@@ -251,6 +253,21 @@ impl SystemConfig {
                 ));
             }
         }
+        let space = self
+            .mem
+            .frame_regions(self.capacity_scale)
+            .iter()
+            .map(|r| (r.base_pfn + r.frames) * moca_common::addr::PAGE_SIZE)
+            .max()
+            .unwrap_or(0);
+        let addressable = CoreHierarchy::addressable_bytes();
+        if space > addressable {
+            return Err(format!(
+                "physical space of {} exceeds the {} the caches' 16-bit tags address",
+                format_bytes(space),
+                format_bytes(addressable)
+            ));
+        }
         moca_vm::layout::validate_layout()?;
         Ok(())
     }
@@ -346,6 +363,36 @@ mod tests {
         let mut s = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         s.core.lq_entries = Core::MAX_LQ_ENTRIES;
         s.validate().unwrap();
+    }
+
+    #[test]
+    fn memory_beyond_the_cache_tags_reach_is_rejected() {
+        let at_full_scale = |layout| SystemConfig {
+            capacity_scale: 1.0,
+            ..SystemConfig::quad_core(MemSystemConfig::Heterogeneous(layout))
+        };
+        let four_gib = HeterogeneousLayout {
+            rldram_mb: 1024,
+            hbm_mb: 1024,
+            lpddr_mb_each: 1024,
+        };
+        assert_eq!(four_gib.total_bytes(), 4 * GB);
+        assert_eq!(
+            at_full_scale(four_gib).validate().unwrap_err(),
+            "physical space of 4 GiB exceeds the 2 GiB the caches' 16-bit tags address"
+        );
+        // The small-fast-module layout of the owner-map migration test
+        // fills the 2 GiB exactly.
+        let small_fast = HeterogeneousLayout {
+            rldram_mb: 8,
+            hbm_mb: 8,
+            lpddr_mb_each: 1016,
+        };
+        assert_eq!(small_fast.total_bytes(), 2 * GB);
+        at_full_scale(small_fast).validate().unwrap();
+        SystemConfig::quad_core(MemSystemConfig::Heterogeneous(small_fast))
+            .validate()
+            .unwrap();
     }
 
     #[test]

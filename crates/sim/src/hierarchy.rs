@@ -58,11 +58,7 @@ pub struct CoreHierarchy {
 impl CoreHierarchy {
     /// Table I hierarchy.
     pub fn new() -> CoreHierarchy {
-        CoreHierarchy::with_configs(CacheConfig::l1i(), CacheConfig::l1d(), CacheConfig::l2())
-    }
-
-    /// Custom cache geometries (used by ablation benches).
-    pub fn with_configs(l1i: CacheConfig, l1d: CacheConfig, l2: CacheConfig) -> CoreHierarchy {
+        let (l1i, l1d, l2) = (CacheConfig::l1i(), CacheConfig::l1d(), CacheConfig::l2());
         let l1_hit_latency = l1d.hit_latency;
         let l2_hit_latency = l1d.hit_latency + l2.hit_latency;
         let mshrs = l2.mshrs;
@@ -77,6 +73,17 @@ impl CoreHierarchy {
             l1_hit_latency,
             l2_hit_latency,
         }
+    }
+
+    /// Bytes of physical space every cache of a hierarchy can address with
+    /// its 16-bit tags (2 GiB). [`crate::config::SystemConfig::validate`]
+    /// refuses a larger memory system.
+    pub fn addressable_bytes() -> u64 {
+        [CacheConfig::l1i(), CacheConfig::l1d(), CacheConfig::l2()]
+            .iter()
+            .map(CacheConfig::addressable_bytes)
+            .min()
+            .expect("three caches")
     }
 
     /// L2 statistics (for MPKI cross-checks).
@@ -368,22 +375,23 @@ impl CoreHierarchy {
     /// the data moves, so cached copies are stale). Dirty lines are queued
     /// as writebacks. Returns the number of dirty lines found.
     pub fn invalidate_page(&mut self, pfn: u64) -> usize {
-        // moca-lint: allow(hot-alloc): migration-rate path — runs once per migrated page, not per cycle
-        let mut dirty: Vec<Victim> = Vec::new();
+        let deferred = &mut self.deferred;
+        let before = deferred.len();
         for cache in [&mut self.l2, &mut self.l1d, &mut self.l1i] {
-            dirty.extend(cache.invalidate_matching(|l| l.pfn() == pfn));
+            cache.invalidate_matching(
+                |l| l.pfn() == pfn,
+                |v| {
+                    deferred.push_back(Deferred {
+                        line: v.line,
+                        kind: AccessKind::Write,
+                        core: CoreId(0),
+                        tag: MemTag::segment(Segment::Data),
+                        token: 0,
+                    })
+                },
+            );
         }
-        let n = dirty.len();
-        for v in dirty {
-            self.deferred.push_back(Deferred {
-                line: v.line,
-                kind: AccessKind::Write,
-                core: CoreId(0),
-                tag: MemTag::segment(Segment::Data),
-                token: 0,
-            });
-        }
-        n
+        deferred.len() - before
     }
 
     /// Deliver a DRAM read completion: fill caches and return the core

@@ -96,16 +96,18 @@ fn held_bytes<T>(make: impl FnOnce() -> T) -> (T, isize) {
 }
 
 #[test]
-fn table1_hierarchy_holds_at_most_54_kib() {
+fn table1_hierarchy_holds_at_most_34_kib() {
     let (hierarchy, bytes) = held_bytes(CoreHierarchy::new);
-    // 10,240 ways at 5 bytes (u32 key, u8 recency rank) plus a packed
-    // dirty bit each is 52,480 B; the rest is MSHRs and empty queues.
+    // 10,240 ways at 3 bytes (u16 tag, u8 recency rank) plus packed valid
+    // and dirty bits each is 33,280 B; the rest is MSHRs and empty queues.
+    // Measured at 34,080 B; with u32 keys (tag + 1, 0 for invalid) and no
+    // valid bits it was 53,280 B.
     assert!(
-        bytes <= 54 * 1024,
-        "CoreHierarchy::new() holds {bytes} B of heap, over the 54 KiB bound"
+        bytes <= 34 * 1024,
+        "CoreHierarchy::new() holds {bytes} B of heap, over the 34 KiB bound"
     );
     assert!(
-        bytes >= 10_240 * 5,
+        bytes >= 10_240 * 3,
         "measured {bytes} B: is the allocator counting?"
     );
     drop(hierarchy);
@@ -119,7 +121,7 @@ const COLO16_APPS: [&str; 16] = [
 ];
 
 #[test]
-fn colo16_system_new_holds_at_most_1000_kib() {
+fn colo16_system_new_holds_at_most_680_kib() {
     // Sixteen cores under MOCA on Heter config1 at the default 1/64 scale.
     // Objects take the three heap classes in turn, so every app's page
     // table maps pages in every layout region.
@@ -142,20 +144,20 @@ fn colo16_system_new_holds_at_most_1000_kib() {
         })
         .collect();
     let (sys, held) = held_bytes(|| moca_sim::System::new(cfg, launches, Box::new(MocaPolicy)));
-    // Per core: a 52 KiB hierarchy, an exactly sized ROB, and a page
+    // Per core: a 33 KiB hierarchy, an exactly sized ROB, and a page
     // table whose per-region radix top levels are a few slots each, plus
-    // the runs of the chunks its pages touch. Measured at 979,209 B (with
-    // run lists grown by doubling, 994,073 B; with a dense 2 KiB array per
-    // touched chunk, 1,179,785 B). Dense chunks, a
-    // single page radix (an 8 KiB top level per table) or byte-wide dirty
-    // flags (9 KiB more per core) would each break the bound.
-    const BOUND: isize = 1000 * 1024;
+    // the runs of the chunks its pages touch. Measured at 674,313 B (with
+    // u32 cache keys, 979,209 B; with run lists grown by doubling as well,
+    // 994,073 B). Dense chunks, a single page radix (an 8 KiB top level
+    // per table), byte-wide dirty or valid flags (9 KiB more per core) or
+    // u32 cache keys (19 KiB more per core) would each break the bound.
+    const BOUND: isize = 680 * 1024;
     assert!(
         held <= BOUND,
-        "16-core System::new holds {held} B, over the 1000 KiB bound"
+        "16-core System::new holds {held} B, over the 680 KiB bound"
     );
     assert!(
-        held >= 16 * 10_240 * 5,
+        held >= 16 * 10_240 * 3,
         "measured {held} B: is the allocator counting?"
     );
     drop(sys);

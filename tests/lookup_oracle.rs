@@ -1,12 +1,13 @@
 //! Differential oracles for the per-access lookup structures.
 //!
 //! `Tlb` (hash index plus recency list) and `SetAssocCache` (struct-of-arrays
-//! way state, 32-bit keys, per-set recency ranks) are fuzzed against
-//! deliberately naive reference models: a linear-scan, timestamp-LRU TLB
-//! and an array-of-structs cache with 64-bit tags and timestamps whose
-//! victim search walks every way. Each geometry runs 100k+ seeded
-//! operations, a share of the cache's lines at the top of the largest
-//! physical space, and every return value, statistic, victim and resident
+//! way state, 16-bit keys with upper halves on demand, validity bits,
+//! per-set recency ranks) are fuzzed against deliberately naive reference
+//! models: a linear-scan, timestamp-LRU TLB and an array-of-structs cache
+//! with 64-bit tags and timestamps whose victim search walks every way.
+//! Each geometry runs 100k+ seeded operations, a share of the cache's lines
+//! at the top of the largest physical space (where a toy geometry's tags
+//! outgrow 16 bits), and every return value, statistic, victim and resident
 //! line set must agree. A difference in victim choice would shift every
 //! simulated result after it, so it fails here before the golden digests
 //! notice.
@@ -354,7 +355,9 @@ fn cache_run(cfg: CacheConfig, seed: u64, ops: u64) {
     let hot_tags = assoc + assoc.div_ceil(2);
     // A fifth of the traffic is mirrored to the top of the physical space,
     // where a key narrowed too far would alias a low line. The space is a
-    // whole number of sets, so mirroring keeps the hot-set structure.
+    // whole number of sets, so mirroring keeps the hot-set structure. The
+    // Table I caches' top tag is the widest that fits 16 bits; the tiny
+    // one's need the upper halves.
     let top = top_line();
     assert_eq!((top + 1) % sets, 0, "{name}: space is not whole sets");
     for op in 0..ops {
@@ -408,8 +411,10 @@ fn cache_run(cfg: CacheConfig, seed: u64, ops: u64) {
                 // One "page" of lines, as the migration path drops them.
                 let page = line.0 / 64;
                 let on_page = |l: LineAddr| l.0 / 64 == page;
+                let mut dirty = Vec::new();
+                cache.invalidate_matching(on_page, |v| dirty.push(v));
                 assert_eq!(
-                    cache.invalidate_matching(on_page),
+                    dirty,
                     oracle.invalidate_matching(on_page),
                     "{name} op {op}: invalidate_matching"
                 );
@@ -440,6 +445,11 @@ fn cache_run(cfg: CacheConfig, seed: u64, ops: u64) {
 
 #[test]
 fn cache_matches_array_of_structs_lru() {
+    for cfg in [CacheConfig::l1d(), CacheConfig::l2()] {
+        let top_tag = top_line() / cfg.sets();
+        assert_eq!(top_tag, u64::from(u16::MAX), "{}", cfg.name);
+        assert_eq!(cfg.addressable_bytes() / CACHE_LINE_SIZE, top_line() + 1);
+    }
     for cfg in [tiny(), CacheConfig::l1d(), CacheConfig::l2()] {
         cache_run(cfg, 0xcac4_e000_0000_0001, 100_000);
     }
