@@ -195,8 +195,9 @@ impl FnTable {
     }
 
     /// The hot set: cycle roots, driver roots, and everything reachable
-    /// from a cycle root through crate-local calls (excluding
-    /// [`COLD_CALLEES`]). Returns one `HotReason` per function index.
+    /// from a cycle root through crate-local calls (excluding the
+    /// constructors listed in `COLD_CALLEES`). Returns one `HotReason` per
+    /// function index.
     pub fn hot_set(&self) -> Vec<Option<HotReason>> {
         let mut hot: Vec<Option<HotReason>> = vec![None; self.fns.len()];
         let mut queue: Vec<usize> = Vec::new();

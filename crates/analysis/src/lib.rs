@@ -18,7 +18,7 @@
 //!
 //! | rule             | scope                          | forbids |
 //! |------------------|--------------------------------|---------|
-//! | `det-map`        | simulated-path crates          | `std::collections::HashMap` / `HashSet` (use [`moca_common::det`]) |
+//! | `det-map`        | simulated-path crates          | `std::collections::HashMap` / `HashSet` (use `BTreeMap` / `BTreeSet`) |
 //! | `wall-clock`     | all except `telemetry`/`bench` | `std::time::Instant` / `SystemTime`, thread spawning |
 //! | `unseeded-rng`   | everywhere                     | ambient randomness (`thread_rng`, `from_entropy`, …) |
 //! | `narrowing-cast` | simulated-path crates          | bare `as u32`/`as usize`/… on cycle/address-flavored expressions (use [`moca_common::units::narrow_u32`]) |
@@ -337,10 +337,10 @@ fn scan_tokens_per_file(
         }
         let ln = t.line - 1;
         if sim_path && (t.text == "HashMap" || t.text == "HashSet") {
-            let tok: &'static str = if t.text == "HashMap" {
-                "HashMap"
+            let (tok, ordered): (&'static str, &str) = if t.text == "HashMap" {
+                ("HashMap", "BTreeMap")
             } else {
-                "HashSet"
+                ("HashSet", "BTreeSet")
             };
             if seen.insert((ln, tok)) {
                 ctx.push(
@@ -349,8 +349,7 @@ fn scan_tokens_per_file(
                     ln,
                     format!(
                         "{tok} iteration order is nondeterministic; use \
-                         moca_common::det::{} instead",
-                        if tok == "HashMap" { "DetMap" } else { "DetSet" }
+                         std::collections::{ordered} instead"
                     ),
                 );
             }

@@ -36,6 +36,20 @@ fn det_map_rule_flags_hash_collections_in_sim_path_crates() {
     // literal, and the `MyHashMapLike` identifier are not findings.
     assert_eq!(lines_of(&f, "det-map"), vec![2, 3, 7, 8]);
     assert!(f.iter().all(|f| f.rule == "det-map"));
+    // Each message names the std ordered collection to use instead.
+    for (finding, want) in f
+        .iter()
+        .zip(["BTreeMap", "BTreeSet", "BTreeMap", "BTreeSet"])
+    {
+        assert!(
+            finding
+                .message
+                .contains(&format!("std::collections::{want}")),
+            "line {}: {}",
+            finding.line,
+            finding.message
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...
+//! repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE [--metrics-window N]] <target>...
 //! repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]
 //!
 //! targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11
@@ -38,7 +38,7 @@
 //! evaluation (mcf on Heter config1 under MOCA) and writes a Chrome-trace /
 //! Perfetto JSON file with cycle-stamped simulator events, windowed metric
 //! counters, and host-side phase spans. `--metrics-window N` sets the
-//! counter sampling period in cycles (default 50000 when tracing).
+//! counter sampling period in cycles (default 50000); it needs `--trace`.
 
 use moca::pipeline::PolicyKind;
 use moca_bench::experiments as exp;
@@ -51,7 +51,7 @@ use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...\n\
+        "usage: repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE [--metrics-window N]] <target>...\n\
          \x20      repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]\n\
          targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11 \
          fig12 fig13 fig14 fig15 fig16 thresholds migration ablations all\n\
@@ -206,6 +206,10 @@ fn main() {
     }
     if targets.is_empty() && trace.is_none() {
         usage();
+    }
+    if metrics_window.is_some() && trace.is_none() {
+        eprintln!("repro: --metrics-window only applies to the traced exemplar; pass --trace FILE");
+        std::process::exit(2);
     }
     let known: Vec<&str> = exp::GENERATORS
         .iter()

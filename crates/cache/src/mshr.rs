@@ -42,9 +42,6 @@ struct Slot<W> {
 pub struct MshrFile<W> {
     slots: Vec<Slot<W>>,
     occupancy: usize,
-    peak_occupancy: usize,
-    merges: u64,
-    full_stalls: u64,
 }
 
 impl<W> MshrFile<W> {
@@ -60,9 +57,6 @@ impl<W> MshrFile<W> {
                 })
                 .collect(),
             occupancy: 0,
-            peak_occupancy: 0,
-            merges: 0,
-            full_stalls: 0,
         }
     }
 
@@ -74,11 +68,9 @@ impl<W> MshrFile<W> {
     pub fn on_miss(&mut self, line: LineAddr, w: W) -> MshrOutcome {
         if let Some(i) = self.find(line) {
             self.slots[i].waiters.push(w);
-            self.merges += 1;
             return MshrOutcome::MergedSecondary;
         }
         if self.occupancy >= self.slots.len() {
-            self.full_stalls += 1;
             return MshrOutcome::Full;
         }
         let free = self
@@ -91,23 +83,15 @@ impl<W> MshrFile<W> {
         slot.line = line;
         slot.waiters.push(w);
         self.occupancy += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.occupancy);
         MshrOutcome::AllocatedPrimary
     }
 
-    /// Complete the miss on `line`, returning its waiters (empty vec if the
-    /// line had no entry — e.g. a prefetch or a duplicate completion).
-    pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        let mut out = Vec::new();
-        self.complete_into(line, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`MshrFile::complete`]: appends the
-    /// waiters to `out`, preserving both `out`'s and the slot's capacity.
-    /// This is the hot-path entry point (the fill path runs once per
-    /// off-chip completion).
-    pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
+    /// Complete the miss on `line`, appending its waiters to `out` (nothing
+    /// if the line had no entry — e.g. a prefetch or a duplicate
+    /// completion). Both `out`'s and the slot's capacity are kept, so the
+    /// fill path, which runs once per off-chip completion, allocates
+    /// nothing.
+    pub fn complete(&mut self, line: LineAddr, out: &mut Vec<W>) {
         if let Some(i) = self.find(line) {
             let slot = &mut self.slots[i];
             slot.valid = false;
@@ -125,41 +109,26 @@ impl<W> MshrFile<W> {
     pub fn is_full(&self) -> bool {
         self.occupancy >= self.slots.len()
     }
-
-    /// Current number of outstanding primary misses.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
-    /// Highest occupancy seen.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Secondary misses merged.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Times a requester was turned away because the file was full.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn complete(m: &mut MshrFile<u32>, line: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        m.complete(LineAddr(line), &mut out);
+        out
+    }
+
     #[test]
     fn allocates_then_merges() {
         let mut m: MshrFile<u32> = MshrFile::new(2);
         assert_eq!(m.on_miss(LineAddr(1), 10), MshrOutcome::AllocatedPrimary);
         assert_eq!(m.on_miss(LineAddr(1), 11), MshrOutcome::MergedSecondary);
-        assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.merges(), 1);
-        let waiters = m.complete(LineAddr(1));
-        assert_eq!(waiters, vec![10, 11]);
+        // The merge took no slot of its own.
+        assert!(!m.is_full());
+        assert_eq!(complete(&mut m, 1), vec![10, 11]);
         assert!(!m.pending(LineAddr(1)));
     }
 
@@ -171,7 +140,6 @@ mod tests {
         assert!(m.is_full());
         assert_eq!(m.on_miss(LineAddr(3), 3), MshrOutcome::Full);
         assert_eq!(m.on_miss(LineAddr(2), 4), MshrOutcome::MergedSecondary);
-        assert_eq!(m.full_stalls(), 1);
     }
 
     #[test]
@@ -179,26 +147,14 @@ mod tests {
         let mut m: MshrFile<u32> = MshrFile::new(1);
         m.on_miss(LineAddr(7), 1);
         assert!(m.is_full());
-        m.complete(LineAddr(7));
+        complete(&mut m, 7);
         assert_eq!(m.on_miss(LineAddr(8), 2), MshrOutcome::AllocatedPrimary);
-    }
-
-    #[test]
-    fn peak_occupancy_tracks_high_water() {
-        let mut m: MshrFile<u32> = MshrFile::new(4);
-        m.on_miss(LineAddr(1), 1);
-        m.on_miss(LineAddr(2), 2);
-        m.on_miss(LineAddr(3), 3);
-        m.complete(LineAddr(1));
-        m.complete(LineAddr(2));
-        assert_eq!(m.peak_occupancy(), 3);
-        assert_eq!(m.occupancy(), 1);
     }
 
     #[test]
     fn complete_unknown_line_is_empty() {
         let mut m: MshrFile<u32> = MshrFile::new(1);
-        assert!(m.complete(LineAddr(99)).is_empty());
+        assert!(complete(&mut m, 99).is_empty());
     }
 
     #[test]
@@ -207,11 +163,11 @@ mod tests {
         m.on_miss(LineAddr(1), 10);
         m.on_miss(LineAddr(1), 11);
         let mut out = vec![9];
-        m.complete_into(LineAddr(1), &mut out);
+        m.complete(LineAddr(1), &mut out);
         assert_eq!(out, vec![9, 10, 11]);
         // The slot is free again and merges still work after reuse.
         assert_eq!(m.on_miss(LineAddr(5), 1), MshrOutcome::AllocatedPrimary);
         assert_eq!(m.on_miss(LineAddr(5), 2), MshrOutcome::MergedSecondary);
-        assert_eq!(m.complete(LineAddr(5)), vec![1, 2]);
+        assert_eq!(complete(&mut m, 5), vec![1, 2]);
     }
 }

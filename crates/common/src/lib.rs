@@ -4,8 +4,7 @@
 //! physical/virtual addresses, simulated time, memory-object identities, the
 //! three-way object classification of the paper (latency-sensitive,
 //! bandwidth-sensitive, non-memory-intensive), the four DRAM technologies of
-//! Table II, deterministic random-number helpers, and small statistics
-//! accumulators.
+//! Table II, deterministic random-number helpers, and a ratio helper.
 //!
 //! The crate is intentionally dependency-light so that the substrates
 //! (`moca-dram`, `moca-cache`, `moca-cpu`, `moca-vm`) can share types without
@@ -13,7 +12,6 @@
 
 pub mod addr;
 pub mod bitset;
-pub mod det;
 pub mod ids;
 pub mod par;
 pub mod rng;
@@ -24,10 +22,8 @@ pub mod wheel;
 
 pub use addr::{LineAddr, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 pub use bitset::TwoLevelBitmap;
-pub use det::{DetMap, DetSet};
 pub use ids::{AppId, CoreId, ObjectClass, ObjectId, Segment};
 pub use rng::DetRng;
-pub use stats::{Counter, RunningStat};
 pub use tags::{TagCounters, TagTable};
 pub use units::{Cycle, GB, KB, MB};
 

@@ -1,106 +1,4 @@
-//! Small statistics accumulators used across the simulator.
-
-use serde::{Deserialize, Serialize};
-
-/// A saturating event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// Running mean / min / max over a stream of samples (no allocation).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct RunningStat {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStat {
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Statistics helpers used across the simulator.
 
 /// Ratio helper: `num / den`, or 0 when the denominator is zero.
 #[inline]
@@ -115,48 +13,6 @@ pub fn safe_div(num: f64, den: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn running_stat_basic() {
-        let mut s = RunningStat::default();
-        for x in [2.0, 4.0, 6.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 6.0);
-    }
-
-    #[test]
-    fn running_stat_empty_is_zero() {
-        let s = RunningStat::default();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = RunningStat::default();
-        let mut b = RunningStat::default();
-        a.record(1.0);
-        b.record(3.0);
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 5.0);
-    }
 
     #[test]
     fn safe_div_handles_zero() {

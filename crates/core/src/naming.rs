@@ -8,9 +8,10 @@
 //! exercise.
 
 use moca_common::units::narrow_u32;
-use moca_common::{DetMap, ObjectId};
+use moca_common::ObjectId;
 use moca_workloads::AppSpec;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Maximum calling-context depth recorded (§V-A: "five levels of return
 /// addresses in our callstack").
@@ -51,7 +52,7 @@ impl std::fmt::Display for ObjectName {
 /// lookup table").
 #[derive(Debug, Clone, Default)]
 pub struct NameRegistry {
-    ids: DetMap<ObjectName, ObjectId>,
+    ids: BTreeMap<ObjectName, ObjectId>,
     names: Vec<ObjectName>,
     labels: Vec<&'static str>,
 }

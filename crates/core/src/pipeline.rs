@@ -9,13 +9,14 @@ use crate::policy::{
 };
 use crate::profile::{profile_app, ProfileConfig, ProfileLut};
 use moca_common::par::parallel_map;
-use moca_common::{DetMap, ObjectClass};
+use moca_common::ObjectClass;
 use moca_sim::config::{MemSystemConfig, SystemConfig};
 use moca_sim::metrics::RunResult;
 use moca_sim::system::{AppLaunch, System};
 use moca_telemetry::{Event, Telemetry};
 use moca_vm::PagePlacementPolicy;
 use moca_workloads::{app_by_name, InputSet};
+use std::collections::BTreeMap;
 
 /// Which placement policy to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -151,7 +152,7 @@ pub struct Pipeline {
     pub eval_warmup: u64,
     /// Evaluation measured instructions per core.
     pub eval_instrs: u64,
-    cache: DetMap<String, (ProfileLut, ClassifiedApp)>,
+    cache: BTreeMap<String, (ProfileLut, ClassifiedApp)>,
 }
 
 impl Pipeline {
@@ -163,7 +164,7 @@ impl Pipeline {
             profile_cfg: ProfileConfig::default(),
             eval_warmup: 500_000,
             eval_instrs: 1_000_000,
-            cache: DetMap::new(),
+            cache: BTreeMap::new(),
         }
     }
 

@@ -5,6 +5,8 @@ use moca_vm::frames::FrameSpace;
 use moca_vm::layout::PageIntent;
 use moca_vm::policy::{preference_order, PagePlacementPolicy};
 
+pub use moca_vm::policy::HomogeneousPolicy;
+
 /// MOCA's object-level policy: a faulting heap page's class is recovered
 /// from its virtual partition (the typed heap of Fig. 6) and its frame is
 /// taken from that class's preferred module, falling back down the priority
@@ -74,26 +76,6 @@ impl PagePlacementPolicy for HeterAppPolicy {
         self.app_classes
             .get(app.0 as usize)
             .map(|&c| preference_order(c)[0])
-    }
-}
-
-/// Baseline for homogeneous machines: every module is the same technology,
-/// so placement is first-touch across the regions.
-#[derive(Debug, Default, Clone)]
-pub struct HomogeneousPolicy;
-
-impl PagePlacementPolicy for HomogeneousPolicy {
-    fn place(&mut self, _app: AppId, _intent: PageIntent, frames: &mut FrameSpace) -> Option<u64> {
-        for i in 0..frames.regions().len() {
-            if let Some(pfn) = frames.alloc_in_region(i) {
-                return Some(pfn);
-            }
-        }
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "Homogeneous"
     }
 }
 
@@ -321,5 +303,60 @@ mod tests {
             preference_order(ObjectClass::NonIntensive)[0],
             ModuleKind::Lpddr2
         );
+    }
+
+    /// `Pipeline::resolve` runs a default `ConfigurableMocaPolicy` as
+    /// `MocaPolicy`, which is only sound if the two place every page alike:
+    /// the same preferred module, and the same frame at every step of the
+    /// fallback chain down to exhaustion, per intent and interleaved.
+    #[test]
+    fn default_configurable_policy_places_like_moca() {
+        let intents = [
+            PageIntent::Heap(ObjectClass::LatencySensitive),
+            PageIntent::Heap(ObjectClass::BandwidthSensitive),
+            PageIntent::Heap(ObjectClass::NonIntensive),
+            PageIntent::Stack,
+            PageIntent::Code,
+            PageIntent::Data,
+        ];
+        // Every module kind, so each chain falls all the way to its last.
+        let frames = || {
+            FrameSpace::new(regions_from_capacities(&[
+                (ModuleKind::Rldram3, 0, 2 * PAGE_SIZE),
+                (ModuleKind::Hbm, 1, 3 * PAGE_SIZE),
+                (ModuleKind::Lpddr2, 2, 2 * PAGE_SIZE),
+                (ModuleKind::Ddr3, 3, PAGE_SIZE),
+            ]))
+        };
+        for intent in intents {
+            assert_eq!(
+                ConfigurableMocaPolicy::default().preferred(AppId(0), intent),
+                MocaPolicy.preferred(AppId(0), intent),
+                "{intent:?}"
+            );
+        }
+        let lockstep = |pick: &dyn Fn(usize) -> PageIntent| {
+            let mut custom = ConfigurableMocaPolicy::default();
+            let (mut a, mut b) = (frames(), frames());
+            let mut placed = 0;
+            for step in 0.. {
+                let intent = pick(step);
+                let got = custom.place(AppId(0), intent, &mut a);
+                assert_eq!(
+                    got,
+                    MocaPolicy.place(AppId(0), intent, &mut b),
+                    "{intent:?}"
+                );
+                if got.is_none() {
+                    break;
+                }
+                placed += 1;
+            }
+            assert_eq!(placed, 8, "the machine drains completely");
+        };
+        for intent in intents {
+            lockstep(&|_| intent);
+        }
+        lockstep(&|step| intents[step % intents.len()]);
     }
 }

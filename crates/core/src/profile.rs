@@ -11,7 +11,7 @@ use crate::naming::{NameRegistry, ObjectName};
 use moca_common::{ModuleKind, ObjectId, Segment};
 use moca_sim::config::{MemSystemConfig, SystemConfig};
 use moca_sim::system::{AppLaunch, System};
-use moca_vm::policy::FirstTouchPolicy;
+use moca_vm::policy::HomogeneousPolicy;
 use moca_workloads::gen::scaled_sizes;
 use moca_workloads::{AppSpec, InputSet};
 use serde::{Deserialize, Serialize};
@@ -112,7 +112,7 @@ pub fn profile_app(spec: &AppSpec, input: InputSet, cfg: &ProfileConfig) -> Prof
         ..SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3))
     };
     let launch = AppLaunch::untyped(spec.clone(), input);
-    let mut sys = System::new(sys_cfg, vec![launch], Box::new(FirstTouchPolicy));
+    let mut sys = System::new(sys_cfg, vec![launch], Box::new(HomogeneousPolicy));
     let result = sys.run_warmed(cfg.warmup_instrs, cfg.measure_instrs);
     let stats = &result.per_core[0].stats;
     let sizes = scaled_sizes(spec, input, cfg.capacity_scale);

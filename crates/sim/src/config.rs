@@ -2,16 +2,13 @@
 
 use crate::CoreHierarchy;
 use moca_common::units::format_bytes;
-use moca_common::{Cycle, ModuleKind, GB, MB};
+use moca_common::{Cycle, ModuleKind, MB};
 use moca_cpu::{Core, CoreConfig};
 use moca_dram::AddressMapper;
 use moca_dram::{ChannelConfig, DeviceTiming};
 use moca_vm::frames::{regions_from_capacities, ModuleRegion};
 use moca_vm::Tlb;
 use serde::{Deserialize, Serialize};
-
-/// Nominal total capacity of every evaluated memory system (2 GB, §V-B/C).
-pub const NOMINAL_TOTAL: u64 = 2 * GB;
 
 /// Capacities of one heterogeneous memory system (nominal megabytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -276,6 +273,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moca_common::GB;
 
     #[test]
     fn config1_totals_2gb() {

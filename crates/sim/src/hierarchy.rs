@@ -394,27 +394,11 @@ impl CoreHierarchy {
         deferred.len() - before
     }
 
-    /// Deliver a DRAM read completion: fill caches and return the core
-    /// tickets to wake. Convenience wrapper over
-    /// [`CoreHierarchy::on_completion_into`] for tests and external callers.
+    /// Deliver a DRAM read completion: fill caches and append the core
+    /// tickets to wake onto `woken` (in MSHR waiter order). The system loop
+    /// passes a reusable buffer here, so the per-completion hot path
+    /// performs no heap allocation.
     pub fn on_completion(
-        &mut self,
-        now: Cycle,
-        comp: &Completion,
-        channels: &mut [Channel],
-        mapper: &AddressMapper,
-    ) -> Vec<u64> {
-        // moca-lint: allow(hot-alloc): test/convenience wrapper; the system loop uses on_completion_into with a reusable buffer
-        let mut woken = Vec::new();
-        self.on_completion_into(now, comp, channels, mapper, &mut woken);
-        woken
-    }
-
-    /// Allocation-free completion delivery: appends the core tickets to
-    /// wake onto `woken` (in MSHR waiter order). The system loop passes a
-    /// reusable buffer here, so the per-completion hot path performs no
-    /// heap allocation.
-    pub fn on_completion_into(
         &mut self,
         now: Cycle,
         comp: &Completion,
@@ -453,7 +437,7 @@ impl CoreHierarchy {
                         self.retire_l1_victim(now, channels, mapper, comp.core, v);
                     }
                 }
-                self.l2_mshr.complete_into(line, woken);
+                self.l2_mshr.complete(line, woken);
             }
         }
     }
@@ -506,7 +490,8 @@ mod tests {
                 ch.tick(now, &mut out);
             }
             for c in &out {
-                let woken = h.on_completion(now, c, channels, mapper);
+                let mut woken = Vec::new();
+                h.on_completion(now, c, channels, mapper, &mut woken);
                 events.push((now, woken));
             }
             h.flush_deferred(now, channels, mapper);

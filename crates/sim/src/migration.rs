@@ -382,7 +382,7 @@ mod tests {
         use moca_common::addr::PAGE_SIZE;
         use moca_dram::{ChannelConfig, DeviceTiming};
         use moca_vm::frames::regions_from_capacities;
-        use moca_vm::policy::FirstTouchPolicy;
+        use moca_vm::policy::HomogeneousPolicy;
         use moca_vm::FrameSpace;
 
         const PAGES: u64 = 18;
@@ -412,9 +412,10 @@ mod tests {
                 (ModuleKind::Rldram3, 0, 2 * PAGE_SIZE),
                 (ModuleKind::Ddr3, 1, 64 * PAGE_SIZE),
             ]));
-            let mut os = Os::new(frames, Box::new(FirstTouchPolicy), 1, 64, 0, 0);
+            let mut os = Os::new(frames, Box::new(HomogeneousPolicy), 1, 64, 0, 0);
+            let mut tel = moca_telemetry::Telemetry::disabled();
             for &vpn in fault_order {
-                os.prefault(0, moca_common::VirtAddr(vpn * PAGE_SIZE));
+                os.prefault(0, moca_common::VirtAddr(vpn * PAGE_SIZE), &mut tel);
             }
             let mut channels = vec![
                 Channel::new(ChannelConfig::new(DeviceTiming::rldram3(), 2 * PAGE_SIZE)),

@@ -15,7 +15,8 @@
 use super::{Heat, MigrationConfig, READ_LOG};
 use moca_common::rng::DetRng;
 use moca_common::units::{narrow_u32, narrow_usize};
-use moca_common::{DetMap, ModuleKind};
+use moca_common::ModuleKind;
+use std::collections::BTreeMap;
 
 /// Fast frames: 32 RLDRAM, then 16 HBM.
 const FAST: u64 = 48;
@@ -36,8 +37,8 @@ fn kind_of(pfn: u64) -> Option<ModuleKind> {
 /// does not take them for the migrator's epoch-rate path.
 #[derive(Default)]
 struct Reference {
-    heat: DetMap<u64, u32>,
-    resident_heat: DetMap<u64, u32>,
+    heat: BTreeMap<u64, u32>,
+    resident_heat: BTreeMap<u64, u32>,
 }
 
 impl Reference {

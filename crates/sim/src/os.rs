@@ -69,29 +69,14 @@ impl Os {
     }
 
     /// Translate a virtual address for the app on `core_idx`, faulting in
-    /// the page on first touch.
-    pub fn translate(&mut self, core_idx: usize, va: VirtAddr) -> Translation {
-        self.translate_impl(core_idx, va, 0, None)
-    }
-
-    /// [`Os::translate`] with telemetry: faults and placements along this
-    /// translation are emitted as events stamped `now`.
-    pub fn translate_traced(
+    /// the page on first touch. Faults and placements along this
+    /// translation are emitted to `tel` as events stamped `now`.
+    pub fn translate(
         &mut self,
         core_idx: usize,
         va: VirtAddr,
         now: Cycle,
         tel: &mut Telemetry,
-    ) -> Translation {
-        self.translate_impl(core_idx, va, now, Some(tel))
-    }
-
-    fn translate_impl(
-        &mut self,
-        core_idx: usize,
-        va: VirtAddr,
-        now: Cycle,
-        tel: Option<&mut Telemetry>,
     ) -> Translation {
         let vpn = va.vpn();
         if let Some(pfn) = self.tlbs[core_idx].lookup(vpn) {
@@ -117,18 +102,11 @@ impl Os {
 
     /// Allocate a page at object instantiation (§IV-E: the OS performs
     /// allocations for objects at their instantiation, so pages exist
-    /// before first use). No-op if the page is already mapped.
-    pub fn prefault(&mut self, core_idx: usize, va: VirtAddr) {
+    /// before first use). No-op if the page is already mapped. Placements
+    /// are emitted to `tel` stamped cycle 0.
+    pub fn prefault(&mut self, core_idx: usize, va: VirtAddr, tel: &mut Telemetry) {
         if self.page_tables[core_idx].translate_vpn(va.vpn()).is_none() {
-            self.fault_impl(core_idx, va, 0, None);
-        }
-    }
-
-    /// [`Os::prefault`] with telemetry; instantiation-time placements are
-    /// stamped cycle 0.
-    pub fn prefault_traced(&mut self, core_idx: usize, va: VirtAddr, tel: &mut Telemetry) {
-        if self.page_tables[core_idx].translate_vpn(va.vpn()).is_none() {
-            self.fault_impl(core_idx, va, 0, Some(tel));
+            self.fault_impl(core_idx, va, 0, tel);
         }
     }
 
@@ -140,20 +118,18 @@ impl Os {
         core_idx: usize,
         va: VirtAddr,
         now: Cycle,
-        mut tel: Option<&mut Telemetry>,
+        tel: &mut Telemetry,
     ) -> u64 {
         let app = AppId(narrow_u32(core_idx as u64));
         let intent = PageIntent::of_va(va);
-        if let Some(t) = tel.as_deref_mut() {
-            t.record(
-                now,
-                Event::PageFault {
-                    app: app.0,
-                    vpn: va.vpn(),
-                    intent: event_intent(intent),
-                },
-            );
-        }
+        tel.record(
+            now,
+            Event::PageFault {
+                app: app.0,
+                vpn: va.vpn(),
+                intent: event_intent(intent),
+            },
+        );
         let pfn = self
             .policy
             .place(app, intent, &mut self.frames)
@@ -173,29 +149,27 @@ impl Os {
             // moca-lint: allow(panic-in-hot): the policy just allocated `pfn` from a region; a miss here is allocator corruption
             .expect("allocated frame belongs to a region");
         self.placement.record(app, intent, kind);
-        if let Some(t) = tel {
-            t.record(
-                now,
-                Event::Placement {
-                    app: app.0,
-                    vpn: va.vpn(),
-                    pfn,
-                    kind,
-                    intent: event_intent(intent),
-                },
-            );
-            if let Some(preferred) = self.policy.preferred(app, intent) {
-                if preferred != kind {
-                    t.record(
-                        now,
-                        Event::FallbackAllocation {
-                            app: app.0,
-                            vpn: va.vpn(),
-                            got: kind,
-                            preferred,
-                        },
-                    );
-                }
+        tel.record(
+            now,
+            Event::Placement {
+                app: app.0,
+                vpn: va.vpn(),
+                pfn,
+                kind,
+                intent: event_intent(intent),
+            },
+        );
+        if let Some(preferred) = self.policy.preferred(app, intent) {
+            if preferred != kind {
+                tel.record(
+                    now,
+                    Event::FallbackAllocation {
+                        app: app.0,
+                        vpn: va.vpn(),
+                        got: kind,
+                        preferred,
+                    },
+                );
             }
         }
         self.page_tables[core_idx].map(va.vpn(), pfn);
@@ -328,7 +302,7 @@ mod tests {
     use moca_common::{ModuleKind, ObjectClass};
     use moca_vm::frames::regions_from_capacities;
     use moca_vm::layout::{partition_base, HeapLayout};
-    use moca_vm::policy::FirstTouchPolicy;
+    use moca_vm::policy::HomogeneousPolicy;
 
     fn os() -> Os {
         let frames = FrameSpace::new(regions_from_capacities(&[(
@@ -336,17 +310,18 @@ mod tests {
             0,
             1024 * 4096,
         )]));
-        Os::new(frames, Box::new(FirstTouchPolicy), 2, 4, 36, 120)
+        Os::new(frames, Box::new(HomogeneousPolicy), 2, 4, 36, 120)
     }
 
     #[test]
     fn first_touch_faults_then_hits() {
         let mut os = os();
+        let mut tel = Telemetry::disabled();
         let va = VirtAddr(partition_base(ObjectClass::NonIntensive) + 0x123);
-        let t1 = os.translate(0, va);
+        let t1 = os.translate(0, va, 0, &mut tel);
         assert_eq!(t1.extra, 156, "walk + fault");
         assert_eq!(t1.pa.0 & 0xfff, 0x123);
-        let t2 = os.translate(0, va);
+        let t2 = os.translate(0, va, 0, &mut tel);
         assert_eq!(t2.extra, 0, "TLB hit");
         assert_eq!(t2.pa, t1.pa);
     }
@@ -354,30 +329,43 @@ mod tests {
     #[test]
     fn apps_have_separate_address_spaces() {
         let mut os = os();
+        let mut tel = Telemetry::disabled();
         let va = VirtAddr(partition_base(ObjectClass::NonIntensive));
-        let a = os.translate(0, va);
-        let b = os.translate(1, va);
+        let a = os.translate(0, va, 0, &mut tel);
+        let b = os.translate(1, va, 0, &mut tel);
         assert_ne!(a.pa, b.pa, "same VA in different apps → different frames");
     }
 
     #[test]
     fn tlb_miss_without_fault_costs_walk_only() {
         let mut os = os();
+        let mut tel = Telemetry::disabled();
         // Touch 5 pages with a 4-entry TLB, then revisit the first.
         let mut h = HeapLayout::new();
         let base = h.alloc_heap(ObjectClass::NonIntensive, 5 * 4096);
         for i in 0..5u64 {
-            os.translate(0, base.offset(i * 4096));
+            os.translate(0, base.offset(i * 4096), 0, &mut tel);
         }
-        let t = os.translate(0, base);
+        let t = os.translate(0, base, 0, &mut tel);
         assert_eq!(t.extra, 36, "page mapped but TLB-evicted");
     }
 
     #[test]
     fn placement_recorded_per_intent() {
         let mut os = os();
-        os.translate(0, VirtAddr(partition_base(ObjectClass::LatencySensitive)));
-        os.translate(0, VirtAddr(partition_base(ObjectClass::BandwidthSensitive)));
+        let mut tel = Telemetry::disabled();
+        os.translate(
+            0,
+            VirtAddr(partition_base(ObjectClass::LatencySensitive)),
+            0,
+            &mut tel,
+        );
+        os.translate(
+            0,
+            VirtAddr(partition_base(ObjectClass::BandwidthSensitive)),
+            0,
+            &mut tel,
+        );
         let p = os.placement();
         assert_eq!(p.total_pages(), 2);
         assert_eq!(
@@ -394,11 +382,19 @@ mod tests {
     #[should_panic(expected = "out of physical memory")]
     fn oom_panics_with_context() {
         let frames = FrameSpace::new(regions_from_capacities(&[(ModuleKind::Ddr3, 0, 4096)]));
-        let mut os = Os::new(frames, Box::new(FirstTouchPolicy), 1, 4, 36, 120);
-        os.translate(0, VirtAddr(partition_base(ObjectClass::NonIntensive)));
+        let mut os = Os::new(frames, Box::new(HomogeneousPolicy), 1, 4, 36, 120);
+        let mut tel = Telemetry::disabled();
+        os.translate(
+            0,
+            VirtAddr(partition_base(ObjectClass::NonIntensive)),
+            0,
+            &mut tel,
+        );
         os.translate(
             0,
             VirtAddr(partition_base(ObjectClass::NonIntensive) + 4096),
+            0,
+            &mut tel,
         );
     }
 }

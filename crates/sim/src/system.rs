@@ -184,7 +184,7 @@ impl Port<'_> {
 
 impl MemPort for Port<'_> {
     fn load(&mut self, now: Cycle, core: CoreId, va: VirtAddr, tag: MemTag) -> MemReply {
-        let tr = self.os.translate_traced(self.core_idx, va, now, self.tel);
+        let tr = self.os.translate(self.core_idx, va, now, self.tel);
         let reply = self.hier.load(
             now,
             core,
@@ -200,7 +200,7 @@ impl MemPort for Port<'_> {
     }
 
     fn store(&mut self, now: Cycle, core: CoreId, va: VirtAddr, tag: MemTag) -> StoreReply {
-        let tr = self.os.translate_traced(self.core_idx, va, now, self.tel);
+        let tr = self.os.translate(self.core_idx, va, now, self.tel);
         self.hier.store(
             now,
             core,
@@ -213,7 +213,7 @@ impl MemPort for Port<'_> {
     }
 
     fn ifetch(&mut self, now: Cycle, core: CoreId, va: VirtAddr) -> MemReply {
-        let tr = self.os.translate_traced(self.core_idx, va, now, self.tel);
+        let tr = self.os.translate(self.core_idx, va, now, self.tel);
         let reply = self
             .hier
             .ifetch(now, core, tr.pa, self.channels, self.mapper, self.tickets);
@@ -352,7 +352,7 @@ impl System {
             let mut progressed = false;
             for (app, vpns) in pages.iter_mut().enumerate() {
                 for vpn in vpns.take(CHUNK) {
-                    os.prefault_traced(app, VirtAddr(vpn * PAGE_SIZE), &mut tel);
+                    os.prefault(app, VirtAddr(vpn * PAGE_SIZE), &mut tel);
                     progressed = true;
                 }
             }
@@ -616,7 +616,7 @@ impl System {
             self.tel
                 .observe_read_latency(comp.queue_cycles, comp.queue_cycles + comp.service_cycles);
             self.woken_buf.clear();
-            self.hiers[ci].on_completion_into(
+            self.hiers[ci].on_completion(
                 now,
                 comp,
                 &mut self.channels,
@@ -1171,13 +1171,13 @@ mod tests {
     use super::*;
     use crate::config::MemSystemConfig;
     use moca_common::ModuleKind;
-    use moca_vm::policy::FirstTouchPolicy;
+    use moca_vm::policy::HomogeneousPolicy;
     use moca_workloads::app_by_name;
 
     fn run_app(name: &str, target: u64) -> RunResult {
         let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         let launch = AppLaunch::untyped(app_by_name(name), InputSet::reference());
-        let mut sys = System::new(cfg, vec![launch], Box::new(FirstTouchPolicy));
+        let mut sys = System::new(cfg, vec![launch], Box::new(HomogeneousPolicy));
         sys.run_warmed(target, target)
     }
 
@@ -1201,7 +1201,7 @@ mod tests {
     fn lost_completions_trip_deadlock_assert() {
         let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
         let launch = AppLaunch::untyped(app_by_name("mcf"), InputSet::reference());
-        let mut sys = System::new(cfg, vec![launch], Box::new(FirstTouchPolicy));
+        let mut sys = System::new(cfg, vec![launch], Box::new(HomogeneousPolicy));
         let mut mem = MemMetrics {
             per_core_read_latency: vec![0; 1],
             ..MemMetrics::default()
@@ -1273,7 +1273,7 @@ mod tests {
             .iter()
             .map(|n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
             .collect();
-        let mut sys = System::new(cfg, launches, Box::new(FirstTouchPolicy));
+        let mut sys = System::new(cfg, launches, Box::new(HomogeneousPolicy));
         let r = sys.run(20_000);
         assert_eq!(r.per_core.len(), 4);
         for c in &r.per_core {
@@ -1288,7 +1288,7 @@ mod tests {
         let mk = |kind| {
             let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(kind));
             let launch = AppLaunch::untyped(app_by_name("mcf"), InputSet::reference());
-            let mut sys = System::new(cfg, vec![launch], Box::new(FirstTouchPolicy));
+            let mut sys = System::new(cfg, vec![launch], Box::new(HomogeneousPolicy));
             sys.run(30_000)
         };
         let rl = mk(ModuleKind::Rldram3);

@@ -4,8 +4,8 @@
 //! retires the exact same cycles and metrics as one without):
 //!
 //! 1. **Events** — cycle-stamped structured records ([`Event`]) routed
-//!    through a pluggable [`Sink`] (no-op, bounded ring, or streaming JSONL).
-//! 2. **Metrics** — a hierarchical counter/gauge/histogram [`Registry`] plus
+//!    through a pluggable [`Sink`] (no-op or bounded ring).
+//! 2. **Metrics** — a hierarchical counter/histogram [`Registry`] plus
 //!    periodic [`WindowSnapshot`]s (per-window IPC, L2 MPKI, queue depths,
 //!    bus occupancy, frame-pool headroom).
 //! 3. **Export & self-profiling** — a Chrome-trace/Perfetto JSON exporter
@@ -31,9 +31,9 @@ pub use event::{Event, EventIntent, TimedEvent};
 pub use profiler::{ComponentTimes, HostProfiler, HostSpan};
 pub use progress::ProgressReporter;
 pub use registry::{
-    CounterId, GaugeId, Histogram, HistogramId, Registry, WindowSnapshot, HISTOGRAM_BUCKETS,
+    CounterId, Histogram, HistogramId, Registry, WindowSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use sink::{JsonlSink, NullSink, RingSink, Sink};
+pub use sink::{NullSink, RingSink, Sink};
 pub use trace::write_chrome_trace;
 
 use moca_common::Cycle;
@@ -47,7 +47,7 @@ pub struct Telemetry {
     /// periodic sampling.
     pub window_cycles: Option<Cycle>,
     sink: Box<dyn Sink>,
-    /// The metric registry (counters, gauges, histograms, windows).
+    /// The metric registry (counters, histograms, windows).
     pub registry: Registry,
     /// Approximate host wall time per simulator component, filled by the
     /// system loop when host profiling is on.
@@ -158,14 +158,9 @@ impl Telemetry {
             .sum()
     }
 
-    /// Drain buffered events out of the sink (empty for streaming sinks).
+    /// Drain buffered events out of the sink (empty for a [`NullSink`]).
     pub fn drain_events(&mut self) -> Vec<TimedEvent> {
         self.sink.drain()
-    }
-
-    /// Flush the sink (streaming sinks buffer writes).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.sink.flush()
     }
 }
 

@@ -1,15 +1,13 @@
 //! Event sinks: where cycle-stamped events go.
 //!
 //! The simulator emits through the [`Sink`] trait; the implementation picks
-//! the cost model. [`NullSink`] discards (the default — zero overhead),
-//! [`RingSink`] keeps the most recent N events in memory for post-run export,
-//! [`JsonlSink`] streams every event to disk as one JSON object per line.
+//! the cost model. [`NullSink`] discards (the default — zero overhead), and
+//! [`RingSink`] keeps the most recent N events in memory for post-run
+//! export.
 
 use crate::event::{Event, TimedEvent};
 use moca_common::Cycle;
 use std::collections::VecDeque;
-use std::io::Write;
-use std::path::Path;
 
 /// Receives cycle-stamped events. Implementations must be purely
 /// observational: emitting may never influence the simulation.
@@ -17,15 +15,10 @@ pub trait Sink {
     /// Record one event at cycle `at`.
     fn emit(&mut self, at: Cycle, event: Event);
 
-    /// Take every buffered event out of the sink. Streaming sinks (which
-    /// hold nothing) return an empty vector.
+    /// Take every buffered event out of the sink. Sinks that keep nothing
+    /// return an empty vector.
     fn drain(&mut self) -> Vec<TimedEvent> {
         Vec::new()
-    }
-
-    /// Flush buffered output to its destination (streaming sinks).
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -92,81 +85,9 @@ impl Sink for RingSink {
     }
 }
 
-/// Streams events to a file as JSON Lines: `{"at":<cycle>,"event":{...}}`.
-///
-/// Creates the parent directory if missing. I/O errors after a successful
-/// open are reported once on stderr and further events are discarded — a
-/// full disk must not abort a long simulation.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: std::io::BufWriter<std::fs::File>,
-    failed: bool,
-    written: u64,
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path`, making parent directories as needed.
-    pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| {
-                    std::io::Error::new(
-                        e.kind(),
-                        format!("cannot create trace directory {}: {e}", dir.display()),
-                    )
-                })?;
-            }
-        }
-        let file = std::fs::File::create(path).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("cannot create event log {}: {e}", path.display()),
-            )
-        })?;
-        Ok(JsonlSink {
-            out: std::io::BufWriter::new(file),
-            failed: false,
-            written: 0,
-        })
-    }
-
-    /// Events successfully written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-}
-
-impl Sink for JsonlSink {
-    fn emit(&mut self, at: Cycle, event: Event) {
-        if self.failed {
-            return;
-        }
-        let line = serde_json::to_string(&TimedEvent { at, event }).expect("events serialize");
-        if let Err(e) = writeln!(self.out, "{line}") {
-            eprintln!("telemetry: event log write failed, disabling sink: {e}");
-            self.failed = true;
-            return;
-        }
-        self.written += 1;
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// A run that panics or returns early without calling `flush` must still
-/// leave parseable (line-complete) telemetry on disk.
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventIntent;
 
     fn ev(core: u32) -> Event {
         Event::MshrFullStall { core }
@@ -185,47 +106,5 @@ mod tests {
         let drained = ring.drain();
         assert_eq!(drained.len(), 3);
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_flushes_on_drop() {
-        let dir = std::env::temp_dir().join("moca_tel_jsonl_drop_test");
-        let path = dir.join("events.jsonl");
-        {
-            let mut sink = JsonlSink::create(&path).unwrap();
-            sink.emit(3, ev(1));
-            // No explicit flush: the Drop impl must leave the line on disk.
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 1);
-        assert!(serde_json::parse(body.lines().next().unwrap()).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_object_per_line() {
-        let dir = std::env::temp_dir().join("moca_tel_jsonl_test");
-        let path = dir.join("nested").join("events.jsonl");
-        let mut sink = JsonlSink::create(&path).unwrap();
-        sink.emit(7, ev(0));
-        sink.emit(
-            9,
-            Event::PageFault {
-                app: 1,
-                vpn: 42,
-                intent: EventIntent::Code,
-            },
-        );
-        sink.flush().unwrap();
-        assert_eq!(sink.written(), 2);
-        let body = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v = serde_json::parse(line).unwrap();
-            assert!(v.get("at").and_then(|a| a.as_u64()).is_some(), "{line}");
-            assert!(v.get("event").is_some(), "{line}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

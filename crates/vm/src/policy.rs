@@ -1,10 +1,12 @@
 //! OS page-placement policy hook.
 //!
 //! The simulator's page-fault handler calls a [`PagePlacementPolicy`] to pick
-//! the physical frame for a faulting page. The three policies the paper
-//! evaluates (MOCA object-level, Heter-App application-level, homogeneous)
-//! are implemented in the `moca` crate against this trait; keeping the trait
-//! here lets `moca-sim` stay independent of the policy crate.
+//! the physical frame for a faulting page. MOCA's object-level policy and
+//! the Heter-App baseline are implemented in the `moca` crate against this
+//! trait; keeping the trait here lets `moca-sim` stay independent of the
+//! policy crate. The homogeneous baseline, [`HomogeneousPolicy`], lives
+//! here because it needs no classification, so the simulator's own tests
+//! and the profiling runs can use it too.
 
 use crate::frames::FrameSpace;
 use crate::layout::PageIntent;
@@ -58,12 +60,13 @@ pub trait PagePlacementPolicy {
     }
 }
 
-/// Trivial policy: first-touch over every region in layout order, ignoring
-/// intent. Used for tests and as the degenerate baseline.
+/// Baseline for homogeneous machines: every module is the same technology,
+/// so placement is first-touch over every region in layout order, ignoring
+/// intent.
 #[derive(Debug, Default, Clone)]
-pub struct FirstTouchPolicy;
+pub struct HomogeneousPolicy;
 
-impl PagePlacementPolicy for FirstTouchPolicy {
+impl PagePlacementPolicy for HomogeneousPolicy {
     fn place(&mut self, _app: AppId, _intent: PageIntent, frames: &mut FrameSpace) -> Option<u64> {
         for i in 0..frames.regions().len() {
             if let Some(pfn) = frames.alloc_in_region(i) {
@@ -74,7 +77,7 @@ impl PagePlacementPolicy for FirstTouchPolicy {
     }
 
     fn name(&self) -> &'static str {
-        "first-touch"
+        "Homogeneous"
     }
 }
 
@@ -88,7 +91,7 @@ mod tests {
     fn preference_orders_cover_all_kinds() {
         for class in ObjectClass::ALL {
             let order = preference_order(class);
-            let set: moca_common::DetSet<_> = order.iter().collect();
+            let set: std::collections::BTreeSet<_> = order.iter().collect();
             assert_eq!(set.len(), 4, "{class} order has duplicates");
         }
     }
@@ -124,7 +127,7 @@ mod tests {
             (ModuleKind::Rldram3, 0, PAGE_SIZE),
             (ModuleKind::Hbm, 1, PAGE_SIZE),
         ]));
-        let mut p = FirstTouchPolicy;
+        let mut p = HomogeneousPolicy;
         let a = p.place(AppId(0), PageIntent::Stack, &mut fs).unwrap();
         let b = p.place(AppId(0), PageIntent::Stack, &mut fs).unwrap();
         assert_eq!(fs.kind_of(a), Some(ModuleKind::Rldram3));

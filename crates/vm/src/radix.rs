@@ -266,7 +266,7 @@ impl Chunk {
 /// [`RadixMap::key_of`] scans every run instead. An unused chunk costs its
 /// 24-byte slot in the top level. The map never exposes an order except
 /// through [`RadixMap::iter`], which walks chunks and runs in index order
-/// and so ascends by key exactly like a `DetMap`. It keeps no count;
+/// and so ascends by key exactly like a `BTreeMap`. It keeps no count;
 /// [`crate::PageTable`] counts its own mappings.
 #[derive(Debug, Clone, Default)]
 pub struct RadixMap {

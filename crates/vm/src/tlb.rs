@@ -58,7 +58,8 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Largest supported capacity: slot numbers must stay below [`NIL`].
+    /// Largest supported capacity: slot numbers must stay below `u16::MAX`,
+    /// the link value that means "none".
     pub const MAX_ENTRIES: usize = NIL as usize - 1;
 
     /// TLB with `capacity` entries, `1..=Tlb::MAX_ENTRIES`.

@@ -1,6 +1,6 @@
 //! Workload specification types.
 
-use moca_common::{ObjectClass, KB, MB};
+use moca_common::{ObjectClass, KB};
 use serde::{Deserialize, Serialize};
 
 /// Memory access pattern of one heap object.
@@ -256,12 +256,10 @@ impl InputSet {
 /// preserving every footprint:capacity ratio (see DESIGN.md).
 pub const DEFAULT_FOOTPRINT_SCALE: f64 = 1.0 / 64.0;
 
-/// Nominal stack reservation per application.
-pub const STACK_BYTES: u64 = 2 * MB;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moca_common::MB;
 
     #[test]
     fn pattern_dependence_flags() {

@@ -22,7 +22,7 @@
 use moca_common::{ModuleKind, Segment};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
 use moca_sim::system::{AppLaunch, System};
-use moca_vm::policy::FirstTouchPolicy;
+use moca_vm::policy::HomogeneousPolicy;
 use moca_workloads::{app_by_name, InputSet};
 
 const INSTR_TARGET: u64 = 12_000;
@@ -63,7 +63,7 @@ fn run(mem: MemSystemConfig, attribution: bool) -> moca_sim::RunResult {
         .iter()
         .map(|n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
         .collect();
-    let mut sys = System::new(cfg, launches, Box::new(FirstTouchPolicy));
+    let mut sys = System::new(cfg, launches, Box::new(HomogeneousPolicy));
     if attribution {
         sys.enable_attribution();
     }

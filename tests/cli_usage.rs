@@ -39,6 +39,10 @@ fn repro_rejects_unknown_options_and_targets() {
             "unknown option",
         ),
         (&["--quick", "fig99"], "unknown target"),
+        (
+            &["--quick", "--metrics-window", "20000", "table3"],
+            "--trace",
+        ),
     ] {
         let (code, stderr) = run(bin, args);
         assert_eq!(code, 2, "repro {args:?}: {stderr}");

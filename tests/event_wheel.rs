@@ -21,7 +21,7 @@ use moca_common::{Cycle, DetRng, ModuleKind};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
 use moca_sim::metrics::RunResult;
 use moca_sim::system::{AppLaunch, System};
-use moca_vm::policy::FirstTouchPolicy;
+use moca_vm::policy::HomogeneousPolicy;
 use moca_workloads::{app_by_name, InputSet};
 use std::collections::BTreeSet;
 
@@ -171,7 +171,7 @@ fn run_digest(mem: MemSystemConfig, threads: usize) -> u64 {
         .iter()
         .map(|n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
         .collect();
-    let mut sys = System::new(cfg, launches, Box::new(FirstTouchPolicy));
+    let mut sys = System::new(cfg, launches, Box::new(HomogeneousPolicy));
     sys.set_step_threads(threads);
     digest(&sys.run(INSTR_TARGET))
 }

@@ -27,7 +27,7 @@ use moca_sim::metrics::RunResult;
 use moca_sim::migration::MigrationConfig;
 use moca_sim::system::{AppLaunch, System};
 use moca_telemetry::{NullSink, Telemetry};
-use moca_vm::policy::FirstTouchPolicy;
+use moca_vm::policy::HomogeneousPolicy;
 use moca_workloads::{app_by_name, InputSet};
 
 /// Small enough to keep the seven quad-core runs fast in debug tests,
@@ -129,7 +129,7 @@ fn run_digest(mem: MemSystemConfig) -> u64 {
         .iter()
         .map(|n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
         .collect();
-    let mut sys = System::new(cfg, launches, Box::new(FirstTouchPolicy));
+    let mut sys = System::new(cfg, launches, Box::new(HomogeneousPolicy));
     digest(&sys.run(INSTR_TARGET))
 }
 
@@ -172,7 +172,7 @@ const WARMUP: u64 = 5_000;
 fn run_warmed_digest(app: &str, mem: MemSystemConfig) -> u64 {
     let cfg = SystemConfig::single_core(mem);
     let launch = AppLaunch::untyped(app_by_name(app), InputSet::reference());
-    let mut sys = System::new(cfg, vec![launch], Box::new(FirstTouchPolicy));
+    let mut sys = System::new(cfg, vec![launch], Box::new(HomogeneousPolicy));
     digest(&sys.run_warmed(WARMUP, INSTR_TARGET))
 }
 

@@ -188,6 +188,7 @@ proptest! {
         let mut tickets = 0u64;
         let mut now = 0u64;
         let mut out = Vec::new();
+        let mut woken = Vec::new();
         let mut expected_wakeups = 0u64;
         let mut wakeups = 0u64;
         let tag = MemTag::heap(ObjectId(0));
@@ -202,7 +203,9 @@ proptest! {
                 ch.tick(*now, &mut out);
             }
             for c in &out {
-                *wakeups += hier.on_completion(*now, c, channels, &mapper).len() as u64;
+                woken.clear();
+                hier.on_completion(*now, c, channels, &mapper, &mut woken);
+                *wakeups += woken.len() as u64;
             }
             hier.flush_deferred(*now, channels, &mapper);
         };
@@ -257,7 +260,7 @@ fn free_frame_gauges_hit_exactly_zero_when_fast_tiers_drain() {
     use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
     use moca_sim::system::{AppLaunch, System};
     use moca_telemetry::{RingSink, Telemetry};
-    use moca_vm::policy::FirstTouchPolicy;
+    use moca_vm::policy::HomogeneousPolicy;
     use moca_workloads::{app_by_name, InputSet};
 
     let cfg = SystemConfig::single_core(MemSystemConfig::Heterogeneous(
@@ -268,7 +271,7 @@ fn free_frame_gauges_hit_exactly_zero_when_fast_tiers_drain() {
         InputSet::reference(),
     )];
     let tel = Telemetry::with_sink(Box::new(RingSink::new(100_000))).with_window(10_000);
-    let mut sys = System::new_with_telemetry(cfg, launches, Box::new(FirstTouchPolicy), tel);
+    let mut sys = System::new_with_telemetry(cfg, launches, Box::new(HomogeneousPolicy), tel);
 
     // Frame-space ground truth first: first-touch fills front to back, so
     // the small fast region is gone before the run even starts.

@@ -4,7 +4,7 @@
 
 use moca::pipeline::{Pipeline, PolicyKind};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
-use moca_telemetry::{write_chrome_trace, JsonlSink, RingSink, Telemetry};
+use moca_telemetry::{write_chrome_trace, RingSink, Telemetry};
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -181,27 +181,6 @@ fn exported_trace_is_valid_chrome_trace_json() {
         .any(|ev| { ev.get("name").and_then(Value::as_str) == Some("classification_verdict") }));
 }
 
-/// The JSONL sink streams one JSON object per line while the run progresses.
-#[test]
-fn jsonl_sink_streams_during_a_real_run() {
-    let path = scratch("events.jsonl");
-    let sink = JsonlSink::create(&path).unwrap();
-    let mut p = Pipeline::quick();
-    let tel = Telemetry::with_sink(Box::new(sink));
-    let (_, mut tel) = p.evaluate_with_telemetry(&["mcf"], heter(), PolicyKind::Moca, tel);
-    tel.flush().unwrap();
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    let mut lines = 0;
-    for line in text.lines() {
-        let v = serde_json::parse(line).expect("each line must be a JSON object");
-        assert!(v.get("at").is_some(), "timed events carry a cycle stamp");
-        assert!(v.get("event").is_some());
-        lines += 1;
-    }
-    assert!(lines > 0, "no events streamed to the JSONL file");
-}
-
 /// The step loop's work counts (`engine.*` registry counters) for one
 /// single-core DDR3 mcf run. They are deterministic, so they are pinned:
 /// a change to how much host work the engine does per simulated cycle
@@ -215,13 +194,13 @@ fn engine_work_counts_are_pinned_for_single_core_mcf() {
     use moca_sim::config::SystemConfig;
     use moca_sim::system::{AppLaunch, System};
     use moca_telemetry::NullSink;
-    use moca_vm::policy::FirstTouchPolicy;
+    use moca_vm::policy::HomogeneousPolicy;
     use moca_workloads::{app_by_name, InputSet};
 
     let cfg = SystemConfig::single_core(MemSystemConfig::Homogeneous(ModuleKind::Ddr3));
     let launch = AppLaunch::untyped(app_by_name("mcf"), InputSet::reference());
     let tel = Telemetry::with_sink(Box::new(NullSink));
-    let mut sys = System::new_with_telemetry(cfg, vec![launch], Box::new(FirstTouchPolicy), tel);
+    let mut sys = System::new_with_telemetry(cfg, vec![launch], Box::new(HomogeneousPolicy), tel);
     sys.run_warmed(5_000, 20_000);
     let tel = sys.take_telemetry();
     let count = |name: &str| {
